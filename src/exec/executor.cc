@@ -206,12 +206,16 @@ StatusOr<std::vector<Tuple>> Executor::Run(const Plan& plan) {
       node.bytes += static_cast<uint64_t>(t.ByteSize());
     }
   }
-  if (parent != nullptr) {
-    parent->children.push_back(std::move(node));
+  AttachProfile(std::move(node));
+  return result;
+}
+
+void Executor::AttachProfile(obs::OperatorProfile node) {
+  if (current_profile_ != nullptr) {
+    current_profile_->children.push_back(std::move(node));
   } else {
     profile_root_ = std::move(node);
   }
-  return result;
 }
 
 StatusOr<std::vector<Tuple>> Executor::RunCached(const Plan& plan) {
@@ -275,6 +279,52 @@ StatusOr<std::vector<Tuple>> Executor::RunScan(const ScanPlan& plan) {
   stats_.tuples_scanned += out.size();
   Charge(static_cast<sim::SimTime>(out.size()) * options_.costs.tuple_ns);
   return out;
+}
+
+template <typename Fn>
+Status Executor::ChildRows::ForEach(Fn&& fn) {
+  if (stored == nullptr) {
+    for (Tuple& t : owned) RETURN_IF_ERROR(fn(std::move(t)));
+    return Status::OK();
+  }
+  Status status;
+  stored->Scan([&](storage::RowId, const Tuple& t) {
+    status = fn(t);
+    return status.ok();
+  });
+  return status;
+}
+
+StatusOr<Executor::ChildRows> Executor::ReadChildRows(const Plan& child) {
+  ChildRows rows;
+  if (vectorized_ || child.kind() != PlanKind::kScan) {
+    ASSIGN_OR_RETURN(rows.owned, RunChildRows(child));
+    return rows;
+  }
+  // In place: account for the scan exactly as Run(scan) would.
+  const auto& scan = static_cast<const ScanPlan&>(child);
+  StatusOr<const storage::Relation*> rel = resolver_->Resolve(scan.table());
+  obs::OperatorProfile node;
+  if (rel.ok()) {
+    rows.stored = *rel;
+    node.rows = rows.stored->num_tuples();
+    stats_.tuples_scanned += node.rows;
+    node.total_ns =
+        static_cast<sim::SimTime>(node.rows) * options_.costs.tuple_ns;
+    Charge(node.total_ns);
+  }
+  if (options_.profile) {
+    node.op = OperatorLabel(child);
+    if (rows.stored != nullptr) {
+      rows.stored->Scan([&](storage::RowId, const Tuple& t) {
+        node.bytes += static_cast<uint64_t>(t.ByteSize());
+        return true;
+      });
+    }
+    AttachProfile(std::move(node));
+  }
+  RETURN_IF_ERROR(rel.status());
+  return rows;
 }
 
 namespace {
@@ -437,22 +487,24 @@ StatusOr<std::vector<Tuple>> Executor::RunSelect(const SelectPlan& plan) {
                    TryIndexSelect(plan));
   if (via_index.has_value()) return std::move(*via_index);
 
-  ASSIGN_OR_RETURN(std::vector<Tuple> in, RunChildRows(*plan.child()));
+  ASSIGN_OR_RETURN(ChildRows in, ReadChildRows(*plan.child()));
   ASSIGN_OR_RETURN(PreparedExpr pred,
                    PreparedExpr::Make(plan.predicate(), options_));
   std::vector<Tuple> out;
-  for (Tuple& t : in) {
+  RETURN_IF_ERROR(in.ForEach([&](auto&& t) -> Status {
     ASSIGN_OR_RETURN(bool keep, pred.EvalPredicate(t));
     ++stats_.expr_evaluations;
-    if (keep) out.push_back(std::move(t));
-  }
+    // Copies a stored row, moves an owned one.
+    if (keep) out.push_back(std::forward<decltype(t)>(t));
+    return Status::OK();
+  }));
   Charge(static_cast<sim::SimTime>(in.size()) *
          (options_.costs.tuple_ns + pred.cost_ns()));
   return out;
 }
 
 StatusOr<std::vector<Tuple>> Executor::RunProject(const ProjectPlan& plan) {
-  ASSIGN_OR_RETURN(std::vector<Tuple> in, RunChildRows(*plan.child()));
+  ASSIGN_OR_RETURN(ChildRows in, ReadChildRows(*plan.child()));
   std::vector<PreparedExpr> exprs;
   sim::SimTime per_tuple = options_.costs.tuple_ns;
   for (const auto& e : plan.exprs()) {
@@ -462,7 +514,7 @@ StatusOr<std::vector<Tuple>> Executor::RunProject(const ProjectPlan& plan) {
   }
   std::vector<Tuple> out;
   out.reserve(in.size());
-  for (const Tuple& t : in) {
+  RETURN_IF_ERROR(in.ForEach([&](const Tuple& t) -> Status {
     std::vector<Value> values;
     values.reserve(exprs.size());
     for (const PreparedExpr& e : exprs) {
@@ -471,7 +523,8 @@ StatusOr<std::vector<Tuple>> Executor::RunProject(const ProjectPlan& plan) {
       values.push_back(std::move(v));
     }
     out.push_back(Tuple(std::move(values)));
-  }
+    return Status::OK();
+  }));
   Charge(static_cast<sim::SimTime>(in.size()) * per_tuple);
   return out;
 }
@@ -608,7 +661,7 @@ struct AggState {
 }  // namespace
 
 StatusOr<std::vector<Tuple>> Executor::RunAggregate(const AggregatePlan& plan) {
-  ASSIGN_OR_RETURN(std::vector<Tuple> in, RunChildRows(*plan.child()));
+  ASSIGN_OR_RETURN(ChildRows in, ReadChildRows(*plan.child()));
 
   std::vector<PreparedExpr> group_exprs;
   sim::SimTime per_tuple = options_.costs.hash_ns;
@@ -632,7 +685,7 @@ StatusOr<std::vector<Tuple>> Executor::RunAggregate(const AggregatePlan& plan) {
   // Grouped accumulation; std::map keeps output deterministic in group
   // order. A grand total (no GROUP BY) always emits exactly one row.
   std::map<Tuple, std::vector<AggState>> groups;
-  for (const Tuple& t : in) {
+  RETURN_IF_ERROR(in.ForEach([&](const Tuple& t) -> Status {
     std::vector<Value> key_vals;
     key_vals.reserve(group_exprs.size());
     for (const PreparedExpr& g : group_exprs) {
@@ -651,7 +704,8 @@ StatusOr<std::vector<Tuple>> Executor::RunAggregate(const AggregatePlan& plan) {
       }
       it->second[i].Add(v, plan.aggs()[i].func, !has_arg[i]);
     }
-  }
+    return Status::OK();
+  }));
   if (groups.empty() && plan.group_by().empty()) {
     groups.try_emplace(Tuple(), std::vector<AggState>(plan.aggs().size()));
   }
@@ -763,11 +817,7 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunBatches(const Plan& plan) {
       node.bytes += static_cast<uint64_t>(b.ByteSize());
     }
   }
-  if (parent != nullptr) {
-    parent->children.push_back(std::move(node));
-  } else {
-    profile_root_ = std::move(node);
-  }
+  AttachProfile(std::move(node));
   return result;
 }
 

@@ -203,6 +203,32 @@ class Executor {
   /// Scan still scans in batches).
   StatusOr<std::vector<Tuple>> RunChildRows(const algebra::Plan& child);
 
+  /// Input of RunSelect, RunProject and RunAggregate. A row-mode Scan
+  /// child is read in place: ForEach hands out `const Tuple&` into the
+  /// fragment, so only the rows a parent emits get copied. Any other child
+  /// is materialized through RunChildRows and ForEach hands out its rows
+  /// as `Tuple&&`.
+  struct ChildRows {
+    const storage::Relation* stored = nullptr;  // In-place fragment.
+    std::vector<Tuple> owned;                    // Otherwise.
+
+    size_t size() const {
+      return stored != nullptr ? stored->num_tuples() : owned.size();
+    }
+    /// Calls `fn(row)` per row in order; `fn` returns a Status and the
+    /// first error stops the visit and is returned.
+    template <typename Fn>
+    Status ForEach(Fn&& fn);
+  };
+  /// Opens `child` for reading. For an in-place scan this settles the
+  /// stats, charge and profile node of Run(scan), so the parent sees the
+  /// same accounting at the same point as with a copying scan.
+  StatusOr<ChildRows> ReadChildRows(const algebra::Plan& child);
+
+  /// Hangs a finished profile node under current_profile_ (or makes it
+  /// the root when there is none).
+  void AttachProfile(obs::OperatorProfile node);
+
   // Vectorized twin of the Run/RunCached/RunUncached spine; only the
   // batch-kernel operators have dedicated entries, everything else runs
   // the row logic over batched children and re-chunks its output.

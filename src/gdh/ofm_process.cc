@@ -341,6 +341,20 @@ void OfmProcess::RegisterExchangeMetrics() {
   m_wire_bits_ = config_.metrics->GetCounter("exchange.wire_bits", labels);
 }
 
+obs::Gauge* OfmProcess::CreditGauge(size_t channel) {
+  if (config_.metrics == nullptr) return nullptr;
+  if (channel >= m_credit_gauges_.size()) {
+    m_credit_gauges_.resize(channel + 1, nullptr);
+  }
+  obs::Gauge*& gauge = m_credit_gauges_[channel];
+  if (gauge == nullptr) {
+    gauge = config_.metrics->GetGauge(
+        "exchange.credit", {{"fragment", config_.fragment_name},
+                            {"channel", std::to_string(channel)}});
+  }
+  return gauge;
+}
+
 void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
   auto request = std::any_cast<std::shared_ptr<ShufflePlanRequest>>(mail.body);
   // A retransmitted plan racing its own in-flight execution: the running
@@ -428,16 +442,10 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
   state.retry_delay = config_.batch_retry_ns;
   state.channels.reserve(consumers);
   for (size_t c = 0; c < consumers; ++c) {
-    obs::Gauge* gauge = nullptr;
-    if (config_.metrics != nullptr) {
-      gauge = config_.metrics->GetGauge(
-          "exchange.credit", {{"fragment", config_.fragment_name},
-                              {"channel", std::to_string(c)}});
-    }
     state.channels.push_back(
         {exec::OutboundChannel(std::move(partitions[c]), request->batch_rows,
                                request->credit_window),
-         request->consumers[c], gauge});
+         request->consumers[c], CreditGauge(c)});
   }
   (*active_shuffles_)[{mail.from, request->request_id}] = token;
   auto [it, inserted] = shuffles_->emplace(token, std::move(state));

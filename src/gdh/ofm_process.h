@@ -191,6 +191,9 @@ class OfmProcess : public pool::Process {
   /// Answers the coordinator (cached) and discards the shuffle state.
   void FinishShuffle(uint64_t token, Status status);
   void RegisterExchangeMetrics();
+  /// The `exchange.credit` gauge of consumer channel `channel`, looked up
+  /// once per channel index (null when no registry was configured).
+  obs::Gauge* CreditGauge(size_t channel);
 
   /// One resync this OFM is sourcing (keyed by session token): the bulk
   /// snapshot stream to the target plus the stop-and-wait WAL-delta
@@ -312,6 +315,7 @@ class OfmProcess : public pool::Process {
   obs::Counter* m_exchange_stalls_ = nullptr;
   obs::Counter* m_wire_bits_ = nullptr;  // Modelled bits put on the wire.
   obs::Counter* m_batch_retransmits_ = nullptr;  // Lazy: fault paths only.
+  std::vector<obs::Gauge*> m_credit_gauges_;  // By channel index; lazy.
   uint64_t wal_synced_ = 0;
   uint64_t redo_synced_ = 0;
 };

@@ -9,32 +9,54 @@ namespace prisma::sim {
 EventId Simulator::ScheduleAt(SimTime time, std::function<void()> fn) {
   PRISMA_CHECK(time >= now_) << "cannot schedule into the past: " << time
                              << " < " << now_;
-  const EventId id = next_seq_++;
-  queue_.push_back(Event{time, id, std::move(fn)});
+  if (free_slots_.empty()) {
+    PRISMA_CHECK(slots_.size() < UINT32_MAX) << "event slab exhausted";
+    free_slots_.push_back(static_cast<uint32_t>(slots_.size()));
+    slots_.emplace_back();
+  }
+  const uint32_t slot = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[slot].fn = std::move(fn);
+  queue_.push_back(Event{time, next_seq_++, slot});
   std::push_heap(queue_.begin(), queue_.end(), EventLater());
-  return id;
+  return static_cast<EventId>(slots_[slot].generation) << 32 | slot;
 }
 
 Simulator::Event Simulator::PopNext() {
   std::pop_heap(queue_.begin(), queue_.end(), EventLater());
-  Event ev = std::move(queue_.back());
+  const Event ev = queue_.back();
   queue_.pop_back();
   return ev;
 }
 
+std::function<void()> Simulator::Release(uint32_t slot) {
+  Slot& s = slots_[slot];
+  std::function<void()> fn = std::move(s.fn);
+  s.fn = nullptr;
+  if (s.cancelled) {
+    s.cancelled = false;
+    --tombstones_;
+    ++events_cancelled_;
+  }
+  if (++s.generation == 0) s.generation = 1;  // 0 stays unissued.
+  free_slots_.push_back(slot);
+  return fn;
+}
+
 bool Simulator::Step() {
   while (!queue_.empty()) {
-    Event ev = PopNext();
-    auto it = cancelled_.find(ev.seq);
-    if (it != cancelled_.end()) {
+    const Event ev = PopNext();
+    if (slots_[ev.slot].cancelled) {
       // Skipped without advancing the clock.
-      cancelled_.erase(it);
-      ++events_cancelled_;
+      Release(ev.slot);
       continue;
     }
+    // Released before running, so the event cancelling itself (or any
+    // handle to it cancelled later) is a stale no-op.
+    std::function<void()> fn = Release(ev.slot);
     now_ = ev.time;
     ++events_executed_;
-    ev.fn();
+    fn();
     return true;
   }
   return false;
@@ -47,12 +69,8 @@ uint64_t Simulator::Run(uint64_t max_events) {
 }
 
 void Simulator::PurgeCancelledFront() {
-  while (!queue_.empty()) {
-    auto it = cancelled_.find(queue_.front().seq);
-    if (it == cancelled_.end()) return;
-    cancelled_.erase(it);
-    ++events_cancelled_;
-    PopNext();
+  while (!queue_.empty() && slots_[queue_.front().slot].cancelled) {
+    Release(PopNext().slot);
   }
 }
 

@@ -3,8 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
-#include <unordered_set>
 #include <vector>
 
 namespace prisma::sim {
@@ -12,7 +10,9 @@ namespace prisma::sim {
 /// Virtual time in nanoseconds since simulation start.
 using SimTime = int64_t;
 
-/// Handle of a scheduled event, usable with Simulator::Cancel.
+/// Handle of a scheduled event, usable with Simulator::Cancel:
+/// `generation << 32 | slot`. Generations start at 1, so 0 never names an
+/// event and a zero-initialized handle is always safe to cancel.
 using EventId = uint64_t;
 
 constexpr SimTime kNanosPerMicro = 1000;
@@ -51,7 +51,14 @@ class Simulator {
   /// simply drains.
   void Cancel(EventId id) {
     ++cancel_requests_;
-    if (id < next_seq_) cancelled_.insert(id);
+    const uint64_t index = id & 0xffffffffu;
+    if (index >= slots_.size()) return;
+    Slot& slot = slots_[index];
+    // A mismatched generation is a handle to an event that already ran
+    // (its slot was recycled) or one never issued.
+    if (slot.generation != id >> 32 || slot.cancelled) return;
+    slot.cancelled = true;
+    ++tombstones_;
   }
 
   /// Executes the next pending event; returns false if none remain.
@@ -78,28 +85,39 @@ class Simulator {
   uint64_t events_cancelled() const { return events_cancelled_; }
 
   /// Cancelled events still sitting in the queue as tombstones.
-  size_t tombstones_pending() const { return cancelled_.size(); }
+  size_t tombstones_pending() const { return tombstones_; }
 
   /// Number of pending events (cancelled-but-unpurged ones included).
   size_t pending() const { return queue_.size(); }
 
  private:
+  /// Heap entry; the callback lives in slots_[slot].
   struct Event {
     SimTime time;
     uint64_t seq;
-    std::function<void()> fn;
+    uint32_t slot;
   };
   // Max-heap comparator inverted: the vector is kept as a min-heap on
-  // (time, seq) via std::push_heap/pop_heap so the next event can be moved
-  // out of the container (std::priority_queue::top() is const).
+  // (time, seq) via std::push_heap/pop_heap.
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
       return a.seq > b.seq;
     }
   };
+  /// Storage of one pending event. A slot is recycled once its event runs
+  /// or its tombstone is popped; the generation bump on release makes
+  /// every handle to the old occupant stale.
+  struct Slot {
+    std::function<void()> fn;
+    uint32_t generation = 1;  // 0 is never issued.
+    bool cancelled = false;
+  };
 
   Event PopNext();
+  /// Recycles `slot`, consuming its tombstone if it was cancelled, and
+  /// returns its callback.
+  std::function<void()> Release(uint32_t slot);
   /// Drops cancelled events sitting at the heap front.
   void PurgeCancelledFront();
 
@@ -108,8 +126,10 @@ class Simulator {
   uint64_t events_executed_ = 0;
   uint64_t cancel_requests_ = 0;
   uint64_t events_cancelled_ = 0;
+  size_t tombstones_ = 0;
   std::vector<Event> queue_;  // Heap ordered by EventLater.
-  std::unordered_set<EventId> cancelled_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
 };
 
 }  // namespace prisma::sim

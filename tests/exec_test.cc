@@ -694,6 +694,166 @@ TEST_F(ExecutorTest, SelectionPushdownEquivalence) {
   EXPECT_FALSE(a->empty());
 }
 
+// ----------------------------------------------------- In-place scans
+
+/// Everything one execution leaves behind that the in-place read of a
+/// Scan child must not change.
+struct ExecutionTrace {
+  StatusOr<std::vector<Tuple>> result = std::vector<Tuple>();
+  ExecStats stats;
+  std::vector<sim::SimTime> charges;  // In the order they were made.
+  std::optional<obs::OperatorProfile> profile;
+};
+
+/// Select, Project and Aggregate read a Scan child in place; the same
+/// operators over an Exchange pass-through above the Scan read a copy
+/// (RunChildRows). Both must agree on rows, stats, charge order and the
+/// profile of the input node, over a fragment with tombstoned slots.
+class InPlaceScanTest : public ExecutorTest,
+                        public ::testing::WithParamInterface<ExprMode> {
+ protected:
+  InPlaceScanTest() {
+    // Leading, interior and trailing tombstones.
+    for (const storage::RowId row : {0, 5, 6, 13, 29}) {
+      EXPECT_TRUE(emp_.Delete(row).ok());
+    }
+  }
+
+  /// `make(child)` builds the operator under test over `child`.
+  template <typename MakePlan>
+  ExecutionTrace Trace(const MakePlan& make, bool copying) {
+    std::unique_ptr<algebra::Plan> child = EmpScan();
+    if (copying) {
+      child = algebra::ExchangePlan::Create(
+          std::move(child), algebra::ExchangePlan::Mode::kHashPartition, {0});
+    }
+    auto plan = make(std::move(child));
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    ExecutionTrace trace;
+    ExecOptions opts;
+    opts.expr_mode = GetParam();
+    opts.profile = true;
+    opts.charge = [&trace](sim::SimTime ns) { trace.charges.push_back(ns); };
+    Executor executor(&resolver_, opts);
+    trace.result = executor.Execute(**plan);
+    trace.stats = executor.stats();
+    trace.profile = executor.profile();
+    return trace;
+  }
+
+  /// Runs both forms and checks they agree; returns the in-place trace.
+  template <typename MakePlan>
+  ExecutionTrace ExpectSameAsCopying(const MakePlan& make) {
+    const std::vector<Tuple> stored = emp_.AllTuples();
+    ExecutionTrace in_place = Trace(make, /*copying=*/false);
+    ExecutionTrace copying = Trace(make, /*copying=*/true);
+    EXPECT_EQ(emp_.AllTuples(), stored);  // Emitted rows were copies.
+
+    EXPECT_EQ(in_place.result.status().code(), copying.result.status().code());
+    EXPECT_EQ(in_place.result.status().message(),
+              copying.result.status().message());
+    if (in_place.result.ok() && copying.result.ok()) {
+      EXPECT_EQ(*in_place.result, *copying.result);
+    }
+    EXPECT_EQ(in_place.stats.tuples_scanned, copying.stats.tuples_scanned);
+    EXPECT_EQ(in_place.stats.expr_evaluations,
+              copying.stats.expr_evaluations);
+    EXPECT_EQ(in_place.stats.charged_ns, copying.stats.charged_ns);
+    EXPECT_EQ(in_place.charges, copying.charges);
+
+    // The in-place input node is "Scan(emp)"; the copying one is the
+    // Exchange that passed the scanned rows through.
+    EXPECT_TRUE(in_place.profile.has_value() && copying.profile.has_value());
+    if (!in_place.profile.has_value() || !copying.profile.has_value()) {
+      return in_place;
+    }
+    EXPECT_EQ(in_place.profile->rows, copying.profile->rows);
+    EXPECT_EQ(in_place.profile->bytes, copying.profile->bytes);
+    EXPECT_EQ(in_place.profile->total_ns, copying.profile->total_ns);
+    EXPECT_EQ(in_place.profile->children.size(), 1u);
+    EXPECT_EQ(copying.profile->children.size(), 1u);
+    if (in_place.profile->children.size() == 1 &&
+        copying.profile->children.size() == 1) {
+      const obs::OperatorProfile& scan = in_place.profile->children[0];
+      const obs::OperatorProfile& copy = copying.profile->children[0];
+      EXPECT_EQ(scan.op, "Scan(emp)");
+      EXPECT_TRUE(scan.children.empty());
+      EXPECT_EQ(scan.rows, copy.rows);
+      EXPECT_EQ(scan.bytes, copy.bytes);
+      EXPECT_EQ(scan.total_ns, copy.total_ns);
+    }
+    return in_place;
+  }
+};
+
+TEST_P(InPlaceScanTest, SelectMatchesCopyingScan) {
+  const ExecutionTrace t = ExpectSameAsCopying([](auto child) {
+    return SelectPlan::Create(
+        std::move(child),
+        Expr::Binary(BinaryOp::kGe, Col("salary"), Lit(int64_t{2000})));
+  });
+  ASSERT_TRUE(t.result.ok());
+  EXPECT_EQ(t.result->size(), 18u);  // ids 10..28 minus tombstoned 13.
+  EXPECT_EQ(t.stats.tuples_scanned, 25u);
+  ASSERT_TRUE(t.profile.has_value() && t.profile->children.size() == 1);
+  EXPECT_EQ(t.profile->children[0].rows, 25u);
+}
+
+TEST_P(InPlaceScanTest, ProjectMatchesCopyingScan) {
+  const ExecutionTrace t = ExpectSameAsCopying([](auto child) {
+    std::vector<std::unique_ptr<Expr>> exprs;
+    exprs.push_back(Col("id"));
+    exprs.push_back(
+        Expr::Binary(BinaryOp::kMul, Col("salary"), Lit(int64_t{2})));
+    return ProjectPlan::Create(std::move(child), std::move(exprs),
+                               {"id", "double_salary"});
+  });
+  ASSERT_TRUE(t.result.ok());
+  ASSERT_EQ(t.result->size(), 25u);
+  EXPECT_EQ(t.result->front().at(0), Value::Int(1));
+  EXPECT_EQ(t.stats.expr_evaluations, 50u);
+}
+
+TEST_P(InPlaceScanTest, AggregateMatchesCopyingScan) {
+  const ExecutionTrace t = ExpectSameAsCopying([](auto child) {
+    std::vector<std::unique_ptr<Expr>> groups;
+    groups.push_back(Col("dept"));
+    std::vector<algebra::AggSpec> aggs;
+    aggs.push_back({AggFunc::kCount, nullptr, "n"});
+    aggs.push_back({AggFunc::kSum, Col("salary"), "total"});
+    return AggregatePlan::Create(std::move(child), std::move(groups),
+                                 {"dept"}, std::move(aggs));
+  });
+  ASSERT_TRUE(t.result.ok());
+  ASSERT_EQ(t.result->size(), 3u);
+  int64_t counted = 0;
+  for (const Tuple& row : *t.result) counted += row.at(1).int_value();
+  EXPECT_EQ(counted, 25);
+}
+
+TEST_P(InPlaceScanTest, PredicateErrorMidScanMatchesCopyingScan) {
+  // 100 / (id - 7) fails on the row with id 7, the fifth live row.
+  const ExecutionTrace t = ExpectSameAsCopying([](auto child) {
+    return SelectPlan::Create(
+        std::move(child),
+        Expr::Binary(BinaryOp::kGt,
+                     Expr::Binary(BinaryOp::kDiv, Lit(int64_t{100}),
+                                  Expr::Binary(BinaryOp::kSub, Col("id"),
+                                               Lit(int64_t{7}))),
+                     Lit(int64_t{0})));
+  });
+  EXPECT_EQ(t.result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.stats.expr_evaluations, 4u);  // ids 1..4 passed.
+  EXPECT_EQ(t.stats.tuples_scanned, 25u);  // The whole scan was charged.
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ExprModes, InPlaceScanTest,
+    ::testing::Values(ExprMode::kCompiled, ExprMode::kInterpreted),
+    [](const ::testing::TestParamInfo<ExprMode>& info) {
+      return info.param == ExprMode::kCompiled ? "Compiled" : "Interpreted";
+    });
+
 // ------------------------------------------------- Exchange channels (§10)
 
 TEST(InboundChannelTest, InOrderDeliveryAdvancesAckOnTake) {

@@ -107,9 +107,50 @@ TEST(SimulatorTest, CancelAfterExecutionIsHarmless) {
   const EventId id = sim.Schedule(1, [&] { ++fired; });
   sim.Run();
   sim.Cancel(id);  // Already ran; must not affect future events.
+  EXPECT_EQ(sim.tombstones_pending(), 0u);  // Nothing left to consume.
   sim.Schedule(1, [&] { ++fired; });
   sim.Run();
   EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.events_cancelled(), 0u);
+}
+
+TEST(SimulatorTest, StaleHandleDoesNotCancelReusedSlot) {
+  // The second event takes over the first one's slot; the first handle
+  // carries the old generation and must not reach it.
+  Simulator sim;
+  int fired = 0;
+  const EventId old_id = sim.Schedule(1, [&] { ++fired; });
+  sim.Run();
+  const EventId new_id = sim.Schedule(1, [&] { ++fired; });
+  EXPECT_NE(old_id, new_id);
+  sim.Cancel(old_id);
+  EXPECT_EQ(sim.tombstones_pending(), 0u);
+  sim.Run();
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.events_cancelled(), 0u);
+}
+
+TEST(SimulatorTest, EventCancellingItselfLeavesNoTombstone) {
+  Simulator sim;
+  EventId self = 0;
+  self = sim.Schedule(1, [&] { sim.Cancel(self); });
+  sim.Run();
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(sim.tombstones_pending(), 0u);
+}
+
+TEST(SimulatorTest, CancelOfZeroIsANoOp) {
+  // Processes keep `timer = 0` for "no timer armed"; cancelling it must
+  // never hit a live event, not even the very first one scheduled.
+  Simulator sim;
+  int fired = 0;
+  sim.Schedule(1, [&] { ++fired; });
+  sim.Cancel(0);
+  EXPECT_EQ(sim.cancel_requests(), 1u);
+  EXPECT_EQ(sim.tombstones_pending(), 0u);
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.events_cancelled(), 0u);
 }
 
 TEST(SimulatorTest, RunUntilSkipsCancelledFront) {
@@ -171,7 +212,7 @@ TEST(SimulatorTest, DoubleCancelConsumesOneTombstone) {
   int fired = 0;
   const EventId id = sim.Schedule(10, [&] { ++fired; });
   sim.Cancel(id);
-  sim.Cancel(id);  // Idempotent: the set holds one entry.
+  sim.Cancel(id);  // Idempotent: the slot is already marked cancelled.
   EXPECT_EQ(sim.cancel_requests(), 2u);
   EXPECT_EQ(sim.tombstones_pending(), 1u);
   sim.Run();
