@@ -136,15 +136,16 @@ PrismaDb::PrismaDb(MachineConfig config)
   gdh_config.plan_cache = &plan_cache_;
   // Auto timeouts (see MachineConfig): effectively silent when fault-free,
   // snappy when messages can actually be lost.
-  gdh_config.rpc_timeout_ns =
+  gdh_config.rpc.first_ns =
       config_.rpc_timeout_ns > 0
           ? config_.rpc_timeout_ns
           : (faults ? 250 * sim::kNanosPerMilli : 10 * sim::kNanosPerSecond);
-  gdh_config.rpc_backoff_cap_ns =
+  gdh_config.rpc.cap_ns =
       config_.rpc_backoff_cap_ns > 0
           ? config_.rpc_backoff_cap_ns
           : (faults ? 2 * sim::kNanosPerSecond : 10 * sim::kNanosPerSecond);
-  gdh_config.rpc_attempts = config_.rpc_attempts;
+  // rpc_attempts counts sends; the policy counts retransmissions.
+  gdh_config.rpc.budget = config_.rpc_attempts - 1;
   gdh_config.query_timeout_ns = config_.query_timeout_ns;
   gdh_config.exchange_batch_rows = config_.exchange_batch_rows;
   gdh_config.exchange_credit_window = config_.exchange_credit_window;
@@ -155,7 +156,7 @@ PrismaDb::PrismaDb(MachineConfig config)
     // coordinator itself can be lost; the resend and supervision timers
     // guarantee statements terminate anyway. They stay off in fault-free
     // runs so behaviour and metrics are unchanged.
-    gdh_config.stmt_done_resend_ns = 200 * sim::kNanosPerMilli;
+    gdh_config.resend_ns = 200 * sim::kNanosPerMilli;
     gdh_config.coord_check_ns = sim::kNanosPerSecond;
   }
   gdh_config.metrics = &metrics_;

@@ -68,13 +68,12 @@ void ExchangeConsumerProcess::OnMail(const pool::Mail& mail) {
     return;
   }
   if (mail.kind == kMailExchangeReplyResend) {
-    if (!replied_ || reply_resends_left_ <= 0) return;
-    --reply_resends_left_;
-    SendMail(config_.coordinator, kMailExecPlanReply, *reply_,
-             (*reply_)->WireBits());
-    if (reply_resends_left_ > 0) {
-      SendSelfAfter(config_.reply_resend_ns, kMailExchangeReplyResend);
-    }
+    if (!reply_timer_.Fire()) return;
+    auto reply = std::any_cast<std::shared_ptr<ExecPlanReply>>(mail.body);
+    SendMail(config_.coordinator, kMailExecPlanReply, reply,
+             reply->WireBits());
+    // The last retransmission leaves no timer behind.
+    if (!reply_timer_.spent()) reply_timer_.Rearm();
     return;
   }
   // Unknown kinds are ignored (forward compatibility).
@@ -223,15 +222,16 @@ void ExchangeConsumerProcess::SendReply(Status status) {
     reply->tuples =
         std::make_shared<std::vector<Tuple>>(std::move(*results_));
   }
-  *reply_ = reply;
   SendMail(config_.coordinator, kMailExecPlanReply, reply,
            reply->WireBits());
   // Retransmit until the coordinator kills us at statement completion: the
-  // reply may be lost, and the coordinator's reply-side dedup (SettleRpc)
-  // makes duplicates harmless.
-  if (config_.reply_resend_ns > 0 && config_.reply_resend_attempts > 0) {
-    reply_resends_left_ = config_.reply_resend_attempts;
-    SendSelfAfter(config_.reply_resend_ns, kMailExchangeReplyResend);
+  // reply may be lost, and the coordinator's reply-side dedup makes
+  // duplicates harmless.
+  if (config_.reply_resend_ns > 0) {
+    reply_timer_.Arm(this,
+                     pool::RetryPolicy::Every(config_.reply_resend_ns,
+                                              kOrphanResendBudget),
+                     kMailExchangeReplyResend, reply);
   }
 }
 

@@ -12,6 +12,7 @@
 #include "gdh/pe_registry.h"
 #include "obs/metrics.h"
 #include "pool/owned.h"
+#include "pool/retransmit.h"
 #include "pool/runtime.h"
 
 namespace prisma::gdh {
@@ -63,12 +64,10 @@ class ExchangeConsumerProcess : public pool::Process {
     pool::CostModel costs;
     const PeLocalRegistry* registry = nullptr;  // Stationary-side scans.
     uint64_t credit_window = 4;
-    /// Reply retransmission period; 0 disables (fault-free runs).
+    /// Reply retransmission period; 0 disables (fault-free runs). The
+    /// coordinator normally kills this process long before the
+    /// kOrphanResendBudget cap stops an orphaned consumer.
     sim::SimTime reply_resend_ns = 0;
-    /// Retransmission budget: normally the coordinator kills this process
-    /// long before it runs out; the cap only stops an orphaned consumer
-    /// (crashed coordinator) from ticking forever.
-    int reply_resend_attempts = 240;
     obs::MetricsRegistry* metrics = nullptr;
   };
 
@@ -105,9 +104,9 @@ class ExchangeConsumerProcess : public pool::Process {
   pool::Owned<std::vector<exec::InboundChannel>> probe_channels_;
   pool::Owned<std::vector<Tuple>> probe_buffer_;  // Pre-build-EOS arrivals.
   pool::Owned<std::vector<Tuple>> results_;
-  pool::Owned<std::shared_ptr<ExecPlanReply>> reply_;
 
-  int reply_resends_left_ = 0;
+  /// Resends the final reply (the timer mail carries it).
+  pool::RetryTimer reply_timer_;
   bool build_done_ = false;
   bool probe_drained_ = false;  // Stationary probe executed (if any).
   bool replied_ = false;

@@ -31,13 +31,12 @@ void OlapMergeProcess::OnMail(const pool::Mail& mail) {
     return;
   }
   if (mail.kind == kMailExchangeReplyResend) {
-    if (!replied_ || reply_resends_left_ <= 0) return;
-    --reply_resends_left_;
-    SendMail(config_.coordinator, kMailExecPlanReply, *reply_,
-             (*reply_)->WireBits());
-    if (reply_resends_left_ > 0) {
-      SendSelfAfter(config_.reply_resend_ns, kMailExchangeReplyResend);
-    }
+    if (!reply_timer_.Fire()) return;
+    auto reply = std::any_cast<std::shared_ptr<ExecPlanReply>>(mail.body);
+    SendMail(config_.coordinator, kMailExecPlanReply, reply,
+             reply->WireBits());
+    // The last retransmission leaves no timer behind.
+    if (!reply_timer_.spent()) reply_timer_.Rearm();
     return;
   }
   // Unknown kinds are ignored (forward compatibility).
@@ -135,12 +134,7 @@ void OlapMergeProcess::RunMerge() {
       std::make_shared<std::vector<Tuple>>(std::move(result).value());
   if (replied_) return;
   replied_ = true;
-  *reply_ = reply;
-  SendMail(config_.coordinator, kMailExecPlanReply, reply, reply->WireBits());
-  if (config_.reply_resend_ns > 0 && config_.reply_resend_attempts > 0) {
-    reply_resends_left_ = config_.reply_resend_attempts;
-    SendSelfAfter(config_.reply_resend_ns, kMailExchangeReplyResend);
-  }
+  Deliver(reply);
 }
 
 void OlapMergeProcess::SendReply(Status status) {
@@ -150,11 +144,16 @@ void OlapMergeProcess::SendReply(Status status) {
   reply->request_id = config_.reply_request_id;
   reply->status = std::move(status);
   reply->fragment = config_.fragment;
-  *reply_ = reply;
+  Deliver(reply);
+}
+
+void OlapMergeProcess::Deliver(std::shared_ptr<ExecPlanReply> reply) {
   SendMail(config_.coordinator, kMailExecPlanReply, reply, reply->WireBits());
-  if (config_.reply_resend_ns > 0 && config_.reply_resend_attempts > 0) {
-    reply_resends_left_ = config_.reply_resend_attempts;
-    SendSelfAfter(config_.reply_resend_ns, kMailExchangeReplyResend);
+  if (config_.reply_resend_ns > 0) {
+    reply_timer_.Arm(this,
+                     pool::RetryPolicy::Every(config_.reply_resend_ns,
+                                              kOrphanResendBudget),
+                     kMailExchangeReplyResend, std::move(reply));
   }
 }
 

@@ -11,6 +11,7 @@
 #include "gdh/messages.h"
 #include "obs/metrics.h"
 #include "pool/owned.h"
+#include "pool/retransmit.h"
 #include "pool/runtime.h"
 #include "storage/relation.h"
 
@@ -45,10 +46,9 @@ class OlapMergeProcess : public pool::Process {
     exec::ExecMode exec_mode = exec::ExecMode::kRow;
     pool::CostModel costs;
     uint64_t credit_window = 4;
-    /// Reply retransmission period; 0 disables (fault-free runs).
+    /// Reply retransmission period; 0 disables (fault-free runs). The
+    /// kOrphanResendBudget cap only stops an orphaned consumer.
     sim::SimTime reply_resend_ns = 0;
-    /// Retransmission budget; only stops an orphaned consumer.
-    int reply_resend_attempts = 240;
     obs::MetricsRegistry* metrics = nullptr;
   };
 
@@ -68,14 +68,16 @@ class OlapMergeProcess : public pool::Process {
   void Pump();
   void RunMerge();
   void SendReply(Status status);
+  /// Sends the final reply and arms its retransmission.
+  void Deliver(std::shared_ptr<ExecPlanReply> reply);
 
   Config config_;
   // Process-local state below is wrapped in the ownership checker.
   pool::Owned<std::vector<exec::InboundChannel>> channels_;
   pool::Owned<std::vector<Tuple>> rows_;  // Materialized shuffle input.
-  pool::Owned<std::shared_ptr<ExecPlanReply>> reply_;
 
-  int reply_resends_left_ = 0;
+  /// Resends the final reply (the timer mail carries it).
+  pool::RetryTimer reply_timer_;
   bool replied_ = false;
 
   obs::Counter* m_batches_received_ = nullptr;

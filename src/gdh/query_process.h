@@ -22,6 +22,7 @@
 #include "obs/query_profile.h"
 #include "obs/trace.h"
 #include "pool/owned.h"
+#include "pool/retransmit.h"
 #include "pool/runtime.h"
 #include "storage/relation.h"
 
@@ -55,15 +56,12 @@ class QueryProcess : public pool::Process {
     /// a GDH-assigned statement txn released at stmt_done).
     exec::TxnId lock_txn = exec::kAutoCommit;
     sim::SimTime timeout_ns = 30 * sim::kNanosPerSecond;
-    /// Retransmission knobs mirroring GdhProcess::Config: first resend
-    /// delay, backoff cap and total attempts before a request degrades to
-    /// kUnavailable.
-    sim::SimTime rpc_timeout_ns = 10 * sim::kNanosPerSecond;
-    sim::SimTime rpc_backoff_cap_ns = 10 * sim::kNanosPerSecond;
-    int rpc_attempts = 6;
-    /// Retransmit stmt_done to the GDH at this period until this process
-    /// is reaped (0 disables — the fault-free configuration).
-    sim::SimTime stmt_done_resend_ns = 0;
+    /// Retransmission, as in GdhProcess::Config (DESIGN.md §8.1): the
+    /// RPC policy, and the period of the stmt_done, fixpoint-directive and
+    /// consumer-reply resends (0 disables them).
+    pool::RetryPolicy rpc = {10 * sim::kNanosPerSecond,
+                             10 * sim::kNanosPerSecond, 5};
+    sim::SimTime resend_ns = 0;
     /// Directory of co-located fragments (may be null): exchange consumers
     /// resolve their stationary-side scans through it.
     const PeLocalRegistry* registry = nullptr;
@@ -121,9 +119,6 @@ class QueryProcess : public pool::Process {
   /// (lock batches).
   void SendRpc(uint64_t request_id, const char* kind, std::any body,
                int64_t size_bits, size_t work_index);
-  /// Cancels retransmission of an answered request; false if it was
-  /// already settled (duplicate reply).
-  bool SettleRpc(uint64_t request_id);
   pool::ProcessId ResolveTarget(size_t work_index) const;
   void HandleRpcTimeout(const pool::Mail& mail);
   void FinishGather();
@@ -183,8 +178,7 @@ class QueryProcess : public pool::Process {
   /// Re-aims an unanswered fragment read at the currently chosen replica
   /// (crash failover at retransmission time): rebuilds the request body
   /// with the plan's scans renamed, keeping the request id.
-  struct PendingRpc;
-  void MaybeFailover(size_t work_index, PendingRpc& rpc);
+  void MaybeFailover(size_t work_index, pool::PendingRpc& rpc);
   /// Bumps the labeled query.unavailable{pe,table} counter (registered
   /// lazily so fault-free metric dumps are unchanged).
   void CountUnavailable(net::NodeId pe, const std::string& table);
@@ -228,26 +222,13 @@ class QueryProcess : public pool::Process {
   uint64_t next_request_id_ = 1;
   std::map<uint64_t, size_t> request_part_;  // request id -> part index.
 
-  /// Unanswered requests, retransmitted with capped exponential backoff
-  /// (mirrors GdhProcess::PendingRpc).
-  struct PendingRpc {
-    const char* kind = nullptr;
-    std::any body;
-    int64_t size_bits = kControlBits;
-    size_t work_index = SIZE_MAX;  // SIZE_MAX targets the GDH.
-    int attempts = 1;
-    int max_attempts = 1;
-    sim::SimTime delay = 0;
-    sim::EventId timer = 0;
-  };
-  // Settlement contract (D6): replies settle via SettleRpc, retry-budget
-  // exhaustion via HandleRpcTimeout, and Reply clears whatever is still
-  // outstanding when the statement finishes (sheds the stragglers).
-  // PRISMA_SETTLES(rpcs_: success=SettleRpc, exhaustion=HandleRpcTimeout,
-  //                shed=Reply)
-  pool::Owned<std::map<uint64_t, PendingRpc>> rpcs_;
-  /// stmt_done retransmission (armed in Reply when configured).
-  std::shared_ptr<StatementDone> done_msg_;
+  /// Unanswered requests. Replies settle them, budget exhaustion fails
+  /// the statement (HandleRpcTimeout), and Reply clears whatever is still
+  /// outstanding when the statement finishes.
+  pool::PendingRpcTable rpcs_{this, kMailRpcTimeout};
+  /// stmt_done retransmission (armed in Reply when configured); the timer
+  /// mail carries the report.
+  pool::RetryTimer done_timer_;
   pool::Owned<std::vector<std::vector<Tuple>>> gathered_;  // Per part.
   uint64_t tuples_gathered_ = 0;
   // EXPLAIN ANALYZE: per-part profile, fragment replies merged in.
@@ -310,6 +291,7 @@ class QueryProcess : public pool::Process {
   /// control mail (both handlers are idempotent at the PEs).
   std::shared_ptr<FixpointStartMsg> fx_start_msg_;
   std::shared_ptr<FixpointRoundMsg> fx_round_msg_;
+  pool::RetryTimer fx_ctrl_timer_;
 };
 
 }  // namespace prisma::gdh
