@@ -96,6 +96,12 @@ class OutboundChannel {
   /// retransmission (not Pump) is responsible for it if it was lost.
   bool Sent(uint64_t seq) const { return seq >= 1 && seq < next_send_; }
 
+  /// The lowest unacknowledged batch if already sent, else null: what a
+  /// retransmission resends (repairing a lost batch or a lost ack).
+  const TupleBatch* Unacked() const {
+    return Sent(acked_ + 1) ? BatchAt(acked_ + 1) : nullptr;
+  }
+
   /// Unused send credit: in-window batches not yet transmitted.
   uint64_t credit() const;
 
