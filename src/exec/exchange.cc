@@ -54,6 +54,14 @@ std::vector<TupleBatch> InboundChannel::TakeReady() {
   return ready;
 }
 
+std::vector<TupleBatch> InboundChannelSet::TakeReady(size_t i) {
+  InboundChannel& channel = channels_[i];
+  const bool was_done = channel.done();
+  std::vector<TupleBatch> ready = channel.TakeReady();
+  if (!was_done && channel.done()) ++done_;
+  return ready;
+}
+
 OutboundChannel::OutboundChannel(std::vector<Tuple> tuples, size_t batch_rows,
                                  uint64_t window)
     : window_(window) {

@@ -56,6 +56,37 @@ class InboundChannel {
   std::map<uint64_t, TupleBatch> pending_;
 };
 
+/// The inbound channels of one stream endpoint, indexed by producer, with
+/// a done-counter so completion is O(1). Each arriving batch touches only
+/// its own channel (DESIGN.md §10.4): a consumer offers the batch, drains
+/// that channel's ready prefix, and checks all_done() — no sweep over the
+/// other channels, whose ready prefixes the previous drains left empty.
+class InboundChannelSet {
+ public:
+  explicit InboundChannelSet(size_t channels = 0) : channels_(channels) {}
+
+  size_t size() const { return channels_.size(); }
+  bool empty() const { return channels_.empty(); }
+
+  /// Offers a batch to channel `i`; false when it was a duplicate.
+  bool Offer(size_t i, TupleBatch batch) {
+    return channels_[i].Offer(std::move(batch));
+  }
+
+  /// Channel `i`'s deliverable in-order prefix (InboundChannel::TakeReady),
+  /// counting the channel done the first time its eos comes out.
+  std::vector<TupleBatch> TakeReady(size_t i);
+
+  uint64_t ack(size_t i) const { return channels_[i].ack(); }
+
+  /// True once every channel has delivered its eos (vacuously for none).
+  bool all_done() const { return done_ == channels_.size(); }
+
+ private:
+  std::vector<InboundChannel> channels_;
+  size_t done_ = 0;  // Channels whose eos has been delivered.
+};
+
 /// Sender side of one exchange channel. The producer materializes its
 /// partition once, frames it into batches of at most `batch_rows` tuples,
 /// and then sends under a credit window: batch `s` may be sent only while

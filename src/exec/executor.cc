@@ -658,6 +658,20 @@ struct AggState {
   }
 };
 
+using GroupMap = std::map<Tuple, std::vector<AggState>>;
+
+/// The group of `key`, inserted with fresh states when new. Probing with a
+/// caller-owned key means only a new group allocates (a key copy and its
+/// states), not every input row.
+GroupMap::iterator FindOrAddGroup(GroupMap& groups, const Tuple& key,
+                                  size_t num_aggs) {
+  auto it = groups.lower_bound(key);
+  if (it == groups.end() || key < it->first) {
+    it = groups.emplace_hint(it, key, std::vector<AggState>(num_aggs));
+  }
+  return it;
+}
+
 }  // namespace
 
 StatusOr<std::vector<Tuple>> Executor::RunAggregate(const AggregatePlan& plan) {
@@ -684,18 +698,14 @@ StatusOr<std::vector<Tuple>> Executor::RunAggregate(const AggregatePlan& plan) {
 
   // Grouped accumulation; std::map keeps output deterministic in group
   // order. A grand total (no GROUP BY) always emits exactly one row.
-  std::map<Tuple, std::vector<AggState>> groups;
+  GroupMap groups;
+  Tuple key(std::vector<Value>(group_exprs.size()));
   RETURN_IF_ERROR(in.ForEach([&](const Tuple& t) -> Status {
-    std::vector<Value> key_vals;
-    key_vals.reserve(group_exprs.size());
-    for (const PreparedExpr& g : group_exprs) {
-      ASSIGN_OR_RETURN(Value v, g.Eval(t));
+    for (size_t k = 0; k < group_exprs.size(); ++k) {
+      ASSIGN_OR_RETURN(key.at(k), group_exprs[k].Eval(t));
       ++stats_.expr_evaluations;
-      key_vals.push_back(std::move(v));
     }
-    auto [it, inserted] =
-        groups.try_emplace(Tuple(std::move(key_vals)),
-                           std::vector<AggState>(plan.aggs().size()));
+    auto it = FindOrAddGroup(groups, key, plan.aggs().size());
     for (size_t i = 0; i < plan.aggs().size(); ++i) {
       Value v;
       if (has_arg[i]) {
@@ -1008,7 +1018,8 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunAggregateBatches(
     }
   }
 
-  std::map<Tuple, std::vector<AggState>> groups;
+  GroupMap groups;
+  Tuple key(std::vector<Value>(group_exprs.size()));
   for (const ColumnBatch& b : in) {
     // Evaluate all key and argument expressions column-wise; on any error,
     // re-run this batch row-major to surface the row path's first error.
@@ -1045,14 +1056,10 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunAggregateBatches(
       arg_cols[i] = std::move(*col);
     }
     for (size_t r = 0; r < b.num_rows(); ++r) {
-      std::vector<Value> key_vals;
-      key_vals.reserve(key_cols.size());
-      for (const ColumnBatch::Column& c : key_cols) {
-        key_vals.push_back(c.ValueAt(r));
+      for (size_t k = 0; k < key_cols.size(); ++k) {
+        key.at(k) = key_cols[k].ValueAt(r);
       }
-      auto [it, inserted] =
-          groups.try_emplace(Tuple(std::move(key_vals)),
-                             std::vector<AggState>(plan.aggs().size()));
+      auto it = FindOrAddGroup(groups, key, plan.aggs().size());
       for (size_t i = 0; i < plan.aggs().size(); ++i) {
         Value v;
         if (has_arg[i]) v = arg_cols[i].ValueAt(r);

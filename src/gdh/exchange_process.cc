@@ -51,9 +51,10 @@ void ExchangeConsumerProcess::OnStart() {
     };
   }
   join_ = std::make_unique<exec::PipelinedHashJoin>(std::move(options));
-  build_channels_->resize(Side(config_.build_side).producers);
+  *build_channels_ =
+      exec::InboundChannelSet(Side(config_.build_side).producers);
   const SideSpec& probe = Side(1 - config_.build_side);
-  if (probe.moving) probe_channels_->resize(probe.producers);
+  if (probe.moving) *probe_channels_ = exec::InboundChannelSet(probe.producers);
   if (config_.metrics != nullptr) {
     m_batches_received_ = config_.metrics->GetCounter(
         "exchange.batches_received", {{"fragment", config_.fragment}});
@@ -85,7 +86,6 @@ void ExchangeConsumerProcess::HandleBatch(const pool::Mail& mail) {
   const bool is_build = msg->side == config_.build_side;
   auto& channels = is_build ? build_channels_ : probe_channels_;
   if (msg->producer >= channels->size()) return;
-  exec::InboundChannel& channel = (*channels)[msg->producer];
 
   exec::TupleBatch batch;
   batch.seq = msg->seq;
@@ -99,7 +99,7 @@ void ExchangeConsumerProcess::HandleBatch(const pool::Mail& mail) {
   }
   batch.tuples = std::move(rows_or).value();
   const size_t rows = batch.tuples.size();
-  if (channel.Offer(std::move(batch))) {
+  if (channels->Offer(msg->producer, std::move(batch))) {
     // Unmarshalling cost of a fresh batch, as for gathered reply tuples.
     ChargeCpu(static_cast<sim::SimTime>(rows) * config_.costs.tuple_ns);
     if (m_batches_received_ != nullptr) m_batches_received_->Increment();
@@ -116,31 +116,29 @@ void ExchangeConsumerProcess::HandleBatch(const pool::Mail& mail) {
   // batch (acking before it would leave the stream's last batch
   // permanently unacknowledged, stalling the producer into its
   // retransmission timer).
-  Pump();
+  Pump(is_build, msg->producer);
 
   // Always (re-)acknowledge, even duplicates: a lost ack would otherwise
   // stall the producer's credit window forever.
   auto ack = std::make_shared<BatchAckMsg>();
   ack->shuffle_token = msg->shuffle_token;
   ack->consumer = config_.index;
-  ack->ack = channel.ack();
+  ack->ack = channels->ack(msg->producer);
   ack->credit = config_.credit_window;
   SendMail(mail.from, kMailBatchAck, std::move(ack), kControlBits);
 }
 
-void ExchangeConsumerProcess::Pump() {
+void ExchangeConsumerProcess::Pump(bool is_build, size_t producer) {
   if (replied_) return;
 
   // Build phase: insert in-order build batches into the hash table.
-  bool build_channels_done = true;
-  for (exec::InboundChannel& channel : *build_channels_) {
-    for (exec::TupleBatch& batch : channel.TakeReady()) {
+  if (is_build) {
+    for (exec::TupleBatch& batch : build_channels_->TakeReady(producer)) {
       if (failed_) continue;
       for (Tuple& tuple : batch.tuples) join_->AddBuild(std::move(tuple));
     }
-    if (!channel.done()) build_channels_done = false;
   }
-  if (!build_done_ && build_channels_done) {
+  if (!build_done_ && build_channels_->all_done()) {
     build_done_ = true;
     join_->FinishBuild();
     ChargeJoinDelta();
@@ -150,9 +148,8 @@ void ExchangeConsumerProcess::Pump() {
   // are buffered; everything after streams straight through the join.
   const SideSpec& probe = Side(1 - config_.build_side);
   if (probe.moving) {
-    bool probe_channels_done = true;
-    for (exec::InboundChannel& channel : *probe_channels_) {
-      for (exec::TupleBatch& batch : channel.TakeReady()) {
+    if (!is_build) {
+      for (exec::TupleBatch& batch : probe_channels_->TakeReady(producer)) {
         if (failed_) continue;
         if (!build_done_) {
           for (Tuple& tuple : batch.tuples) {
@@ -163,7 +160,6 @@ void ExchangeConsumerProcess::Pump() {
           if (!status.ok()) SendReply(status);
         }
       }
-      if (!channel.done()) probe_channels_done = false;
     }
     if (build_done_ && !failed_) {
       if (!probe_buffer_->empty()) {
@@ -172,7 +168,7 @@ void ExchangeConsumerProcess::Pump() {
         const Status status = ProbeTuples(buffered);
         if (!status.ok()) SendReply(status);
       }
-      if (probe_channels_done && !replied_) SendReply(Status::OK());
+      if (probe_channels_->all_done() && !replied_) SendReply(Status::OK());
     }
   } else if (build_done_ && !probe_drained_ && !failed_) {
     probe_drained_ = true;

@@ -82,10 +82,12 @@ class ExchangeConsumerProcess : public pool::Process {
 
  private:
   void HandleBatch(const pool::Mail& mail);
-  /// Advances the pipeline: drains in-order build batches into the hash
-  /// table, seals the build on EOS, then probes (buffered + streaming
-  /// moving batches, or the local stationary input).
-  void Pump();
+  /// Advances the pipeline after a batch on channel `producer` of the
+  /// build (`is_build`) or probe side: drains that channel's in-order
+  /// batches into the hash table or the probe, seals the build on EOS of
+  /// every build channel, then probes (buffered + streaming moving
+  /// batches, or the local stationary input).
+  void Pump(bool is_build, size_t producer);
   Status ProbeTuples(const std::vector<Tuple>& tuples);
   void RunLocalProbe();
   void SendReply(Status status);
@@ -100,8 +102,8 @@ class ExchangeConsumerProcess : public pool::Process {
   Config config_;
   // Process-local state below is wrapped in the ownership checker.
   pool::OwnedPtr<exec::PipelinedHashJoin> join_;
-  pool::Owned<std::vector<exec::InboundChannel>> build_channels_;
-  pool::Owned<std::vector<exec::InboundChannel>> probe_channels_;
+  pool::Owned<exec::InboundChannelSet> build_channels_;
+  pool::Owned<exec::InboundChannelSet> probe_channels_;
   pool::Owned<std::vector<Tuple>> probe_buffer_;  // Pre-build-EOS arrivals.
   pool::Owned<std::vector<Tuple>> results_;
 

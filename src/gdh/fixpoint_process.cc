@@ -29,7 +29,7 @@ void FixpointPeProcess::OnStart() {
   known_ofm_ = std::make_unique<exec::Ofm>(
       "fixpoint#" + std::to_string(config_.index), config_.edge_schema,
       std::move(ofm_options));
-  edge_channels_->resize(config_.edge_producers);
+  *edge_channels_ = exec::InboundChannelSet(config_.edge_producers);
   if (config_.metrics != nullptr) {
     const obs::Labels labels = {{"pe", std::to_string(config_.index)}};
     m_batches_received_ =
@@ -81,7 +81,7 @@ void FixpointPeProcess::HandleStart(const pool::Mail& mail) {
   if (msg->peers.size() != config_.num_pes) return;
   *peers_ = msg->peers;
   started_ = true;
-  Advance();
+  Advance(nullptr);
 }
 
 void FixpointPeProcess::HandleRound(const pool::Mail& mail) {
@@ -107,23 +107,23 @@ void FixpointPeProcess::HandleRound(const pool::Mail& mail) {
   ChargeCpu(static_cast<sim::SimTime>(round_products_) *
             config_.costs.hash_ns);
   SendRoundStreams(current_round_, std::move(owner), std::move(index));
-  Advance();
+  Advance(nullptr);
 }
 
 void FixpointPeProcess::HandleBatch(const pool::Mail& mail) {
   auto msg = std::any_cast<std::shared_ptr<TupleBatchMsg>>(mail.body);
   if (msg->exchange_id != config_.fixpoint_id) return;
   if (failed_) return;  // The coordinator is already aborting the query.
-  exec::InboundChannel* channel = nullptr;
+  exec::InboundChannelSet* channels = nullptr;
   if (msg->side == 0) {
     if (msg->producer >= edge_channels_->size()) return;
-    channel = &(*edge_channels_)[msg->producer];
+    channels = &*edge_channels_;
   } else {
     if (msg->producer >= config_.num_pes) return;
-    std::vector<exec::InboundChannel>& round_channels =
-        (*inbound_)[msg->side];
-    if (round_channels.empty()) round_channels.resize(config_.num_pes);
-    channel = &round_channels[msg->producer];
+    channels = &(*inbound_)[msg->side];
+    if (channels->empty()) {
+      *channels = exec::InboundChannelSet(config_.num_pes);
+    }
   }
 
   exec::TupleBatch batch;
@@ -138,7 +138,7 @@ void FixpointPeProcess::HandleBatch(const pool::Mail& mail) {
   }
   batch.tuples = std::move(rows_or).value();
   const size_t rows = batch.tuples.size();
-  if (channel->Offer(std::move(batch))) {
+  if (channels->Offer(msg->producer, std::move(batch))) {
     ChargeCpu(static_cast<sim::SimTime>(rows) * config_.costs.tuple_ns);
     if (m_batches_received_ != nullptr) m_batches_received_->Increment();
   } else if (config_.metrics != nullptr) {
@@ -152,13 +152,14 @@ void FixpointPeProcess::HandleBatch(const pool::Mail& mail) {
 
   // Advance first: draining moves the channel's cumulative ack point, so
   // acking afterwards covers this very batch (DESIGN.md §10.2).
-  Advance();
+  const Arrival arrival{msg->side, msg->producer};
+  Advance(&arrival);
   if (failed_) return;  // Advancing may have degraded; stop acking.
 
   auto ack = std::make_shared<BatchAckMsg>();
   ack->shuffle_token = msg->shuffle_token;
   ack->consumer = config_.index;
-  ack->ack = channel->ack();
+  ack->ack = channels->ack(msg->producer);
   ack->credit = config_.credit_window;
   SendMail(mail.from, kMailBatchAck, std::move(ack), kControlBits);
 }
@@ -206,21 +207,21 @@ void FixpointPeProcess::HandleBatchResend(const pool::Mail& mail) {
   out.timer.Rearm();
 }
 
-void FixpointPeProcess::Advance() {
+void FixpointPeProcess::Advance(const Arrival* arrival) {
   if (failed_ || replied_) return;
-  DrainEdges();
+  DrainEdges(arrival);
   if (failed_) return;
   if (started_ && edges_done_ && !seeded_) Seed();
-  DrainRounds();
+  DrainRounds(arrival);
   if (failed_) return;
   MaybeVote();
 }
 
-void FixpointPeProcess::DrainEdges() {
+void FixpointPeProcess::DrainEdges(const Arrival* arrival) {
   if (edges_done_) return;
-  bool all_done = true;
-  for (exec::InboundChannel& channel : *edge_channels_) {
-    for (exec::TupleBatch& batch : channel.TakeReady()) {
+  if (arrival != nullptr && arrival->side == 0) {
+    for (exec::TupleBatch& batch :
+         edge_channels_->TakeReady(arrival->producer)) {
       for (const Tuple& tuple : batch.tuples) {
         const Status status = kernel_->AddEdge(tuple);
         if (!status.ok()) {
@@ -232,9 +233,9 @@ void FixpointPeProcess::DrainEdges() {
       ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
                 config_.costs.hash_ns);
     }
-    if (!channel.done()) all_done = false;
   }
-  edges_done_ = all_done;
+  // Vacuously done without edge producers.
+  edges_done_ = edge_channels_->all_done();
 }
 
 void FixpointPeProcess::Seed() {
@@ -265,6 +266,7 @@ void FixpointPeProcess::SendRoundStreams(uint64_t round,
                         config_.batch_rows, config_.credit_window),
                     peers_->at(peer), SideFor(round, copy), round, {}});
       PRISMA_CHECK(inserted);
+      ++(*unsent_streams_)[round];
       PumpOut(token, it->second);
       it->second.timer.Arm(this, config_.stream_retry,
                            kMailFixpointBatchResend,
@@ -274,9 +276,14 @@ void FixpointPeProcess::SendRoundStreams(uint64_t round,
 }
 
 void FixpointPeProcess::PumpOut(uint64_t token, OutStream& out) {
+  if (out.channel.next_unsent() == 0) return;
   while (const exec::TupleBatch* batch = out.channel.TakeNextToSend()) {
     SendBatchMsg(token, out, *batch, /*first=*/true);
   }
+  if (out.channel.next_unsent() != 0) return;
+  // Every batch of this stream is now first-transmitted.
+  auto it = unsent_streams_->find(out.round);
+  if (--it->second == 0) unsent_streams_->erase(it);
 }
 
 void FixpointPeProcess::SendBatchMsg(uint64_t token, OutStream& out,
@@ -314,35 +321,49 @@ void FixpointPeProcess::SendBatchMsg(uint64_t token, OutStream& out,
   SendMail(out.peer, kMailTupleBatch, std::move(msg), bits);
 }
 
-void FixpointPeProcess::DrainRounds() {
+void FixpointPeProcess::DrainRounds(const Arrival* arrival) {
   if (!seeded_) return;
+  // Entering a round (seed or coordinator directive) may have made any of
+  // its channels ready, since batches for it were buffered undrained; after
+  // that, only an arriving batch's own channel can become ready.
+  const bool sweep = swept_round_ != static_cast<int64_t>(current_round_);
+  swept_round_ = static_cast<int64_t>(current_round_);
   const int copies =
       config_.algorithm == exec::TcAlgorithm::kSmart ? 2 : 1;
   for (int copy = 0; copy < copies; ++copy) {
     auto it = inbound_->find(SideFor(current_round_, copy));
     if (it == inbound_->end()) continue;
-    for (exec::InboundChannel& channel : it->second) {
-      for (exec::TupleBatch& batch : channel.TakeReady()) {
-        ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
-                  config_.costs.hash_ns);
-        if (copy == 0) {
-          std::vector<Tuple> fresh;
-          absorbed_new_current_ +=
-              kernel_->AbsorbOwned(batch.tuples, &fresh);
-          for (Tuple& tuple : fresh) {
-            auto row = known_ofm_->Insert(exec::kAutoCommit,
-                                          std::move(tuple));
-            if (!row.ok()) {
-              Fail(row.status());
-              return;
-            }
-          }
-        } else {
-          kernel_->AbsorbIndex(batch.tuples);
-        }
+    if (sweep) {
+      for (size_t producer = 0; producer < it->second.size(); ++producer) {
+        if (!DrainRoundChannel(copy, it->second, producer)) return;
       }
+    } else if (arrival != nullptr && arrival->side == it->first) {
+      DrainRoundChannel(copy, it->second, arrival->producer);
     }
   }
+}
+
+bool FixpointPeProcess::DrainRoundChannel(int copy,
+                                          exec::InboundChannelSet& channels,
+                                          size_t producer) {
+  for (exec::TupleBatch& batch : channels.TakeReady(producer)) {
+    ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
+              config_.costs.hash_ns);
+    if (copy == 0) {
+      std::vector<Tuple> fresh;
+      absorbed_new_current_ += kernel_->AbsorbOwned(batch.tuples, &fresh);
+      for (Tuple& tuple : fresh) {
+        auto row = known_ofm_->Insert(exec::kAutoCommit, std::move(tuple));
+        if (!row.ok()) {
+          Fail(row.status());
+          return false;
+        }
+      }
+    } else {
+      kernel_->AbsorbIndex(batch.tuples);
+    }
+  }
+  return true;
 }
 
 bool FixpointPeProcess::InboundComplete(uint64_t round) {
@@ -352,12 +373,7 @@ bool FixpointPeProcess::InboundComplete(uint64_t round) {
     auto it = inbound_->find(SideFor(round, copy));
     // Every peer sends at least one (possibly empty) eos batch per round,
     // so a missing or incomplete channel set means the round is inflight.
-    if (it == inbound_->end() || it->second.size() != config_.num_pes) {
-      return false;
-    }
-    for (const exec::InboundChannel& channel : it->second) {
-      if (!channel.done()) return false;
-    }
+    if (it == inbound_->end() || !it->second.all_done()) return false;
   }
   return true;
 }
@@ -366,11 +382,7 @@ bool FixpointPeProcess::OutboundSentComplete(uint64_t round) const {
   // Streams are erased once fully acked, so anything still present for
   // this round must at least have first-transmitted every batch (the
   // vote's wire_bits are complete and the receivers can finish).
-  for (const auto& [token, out] : *outbound_) {
-    (void)token;  // prisma-lint: unused-status - key only identifies the stream.
-    if (out.round == round && out.channel.next_unsent() != 0) return false;
-  }
-  return true;
+  return !unsent_streams_->contains(round);
 }
 
 void FixpointPeProcess::MaybeVote() {

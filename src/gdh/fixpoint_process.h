@@ -104,12 +104,25 @@ class FixpointPeProcess : public pool::Process {
   void HandleBatchResend(const pool::Mail& mail);
   void HandleHarvest();
 
-  /// Drains whatever became ready (edge channels, current-round delta
-  /// channels), seeds once the edge relation is complete, and votes once
-  /// the current round is fully absorbed and fully first-transmitted.
-  void Advance();
-  void DrainEdges();
-  void DrainRounds();
+  /// The inbound channel a batch arrived on: only it can have become
+  /// ready, so a batch drains that one channel (DESIGN.md §10.4).
+  struct Arrival {
+    int side = 0;
+    size_t producer = 0;
+  };
+
+  /// Drains whatever became ready — the arrival's channel, or every
+  /// current-round delta channel after a round change — seeds once the
+  /// edge relation is complete, and votes once the current round is fully
+  /// absorbed and fully first-transmitted. `arrival` is null for control
+  /// mail.
+  void Advance(const Arrival* arrival);
+  void DrainEdges(const Arrival* arrival);
+  void DrainRounds(const Arrival* arrival);
+  /// Absorbs channel `producer` of `channels` (copy 0 = owner deltas,
+  /// copy 1 = smart-index deltas); false once the fixpoint has failed.
+  bool DrainRoundChannel(int copy, exec::InboundChannelSet& channels,
+                         size_t producer);
   void Seed();
   void SendRoundStreams(uint64_t round, exec::RoutedPairs owner,
                         exec::RoutedPairs index);
@@ -128,10 +141,13 @@ class FixpointPeProcess : public pool::Process {
   /// Recovery-free intermediate-result store mirroring the owned set.
   pool::OwnedPtr<exec::Ofm> known_ofm_;
   pool::Owned<std::vector<pool::ProcessId>> peers_;
-  pool::Owned<std::vector<exec::InboundChannel>> edge_channels_;
+  pool::Owned<exec::InboundChannelSet> edge_channels_;
   /// Inter-PE round channels keyed by side, one channel per peer.
-  pool::Owned<std::map<int, std::vector<exec::InboundChannel>>> inbound_;
+  pool::Owned<std::map<int, exec::InboundChannelSet>> inbound_;
   pool::Owned<std::map<uint64_t, OutStream>> outbound_;
+  /// Per round, the outbound streams with batches not yet first-
+  /// transmitted (rounds at zero are erased).
+  pool::Owned<std::map<uint64_t, size_t>> unsent_streams_;
   /// First-transmission bits per round (retransmissions excluded), the
   /// shipping-cost axis reported on each vote.
   pool::Owned<std::map<uint64_t, uint64_t>> wire_bits_by_round_;
@@ -144,6 +160,7 @@ class FixpointPeProcess : public pool::Process {
   bool failed_ = false;
   uint64_t current_round_ = 0;  // Valid once seeded_ (round 0 = seed).
   int64_t voted_round_ = -1;
+  int64_t swept_round_ = -1;  // Last round whose channels were all drained.
   uint64_t absorbed_new_current_ = 0;  // New owned pairs this round.
   uint64_t round_products_ = 0;        // Join products this round.
   uint64_t next_token_ = 1;

@@ -462,23 +462,24 @@ void OfmProcess::HandleShufflePlan(const pool::Mail& mail) {
 }
 
 void OfmProcess::PumpShuffle(ShuffleState& state) {
-  for (ShuffleChannel& sc : state.channels) {
-    bool sent = false;
-    while (const exec::TupleBatch* batch = sc.channel.TakeNextToSend()) {
-      // Only first transmissions count toward the shuffle's modelled
-      // data-plane bits; retransmissions are repair, not payload.
-      state.wire_bits +=
-          static_cast<uint64_t>(SendBatch(state, sc, *batch));
-      sent = true;
-    }
-    // A drain that halted at the window edge (rather than running out of
-    // batches) is one stall event: the pipeline is now waiting on acks.
-    if (sent && sc.channel.Stalled() && m_exchange_stalls_ != nullptr) {
-      m_exchange_stalls_->Increment();
-    }
-    if (sc.credit_gauge != nullptr) {
-      sc.credit_gauge->Set(static_cast<int64_t>(sc.channel.credit()));
-    }
+  for (ShuffleChannel& sc : state.channels) PumpShuffleChannel(state, sc);
+}
+
+void OfmProcess::PumpShuffleChannel(ShuffleState& state, ShuffleChannel& sc) {
+  bool sent = false;
+  while (const exec::TupleBatch* batch = sc.channel.TakeNextToSend()) {
+    // Only first transmissions count toward the shuffle's modelled
+    // data-plane bits; retransmissions are repair, not payload.
+    state.wire_bits += static_cast<uint64_t>(SendBatch(state, sc, *batch));
+    sent = true;
+  }
+  // A drain that halted at the window edge (rather than running out of
+  // batches) is one stall event: the pipeline is now waiting on acks.
+  if (sent && sc.channel.Stalled() && m_exchange_stalls_ != nullptr) {
+    m_exchange_stalls_->Increment();
+  }
+  if (sc.credit_gauge != nullptr) {
+    sc.credit_gauge->Set(static_cast<int64_t>(sc.channel.credit()));
   }
 }
 
@@ -537,16 +538,18 @@ void OfmProcess::HandleBatchAck(const pool::Mail& mail) {
   ShuffleState& state = it->second;
   if (msg->consumer >= state.channels.size()) return;
   ShuffleChannel& channel = state.channels[msg->consumer];
+  const bool was_done = channel.channel.done();
   channel.channel.set_window(msg->credit);
   if (channel.channel.OnAck(msg->ack)) {
     // Window progress: the consumer is alive, so the retransmission
     // budget and backoff start over.
     state.timer.Progress();
   }
-  PumpShuffle(state);
-  for (const ShuffleChannel& sc : state.channels) {
-    if (!sc.channel.done()) return;
-  }
+  // Only this channel's window can have moved: every other channel was
+  // left drained or stalled by its own last ack (or by setup/resend).
+  PumpShuffleChannel(state, channel);
+  if (!was_done && channel.channel.done()) ++state.done_channels;
+  if (state.done_channels < state.channels.size()) return;
   FinishShuffle(state.token, Status::OK());
 }
 

@@ -168,6 +168,8 @@ class OfmProcess : public pool::Process {
     /// instead of row-encoded tuples (vectorized statements).
     bool columnar = false;
     std::vector<ShuffleChannel> channels;
+    /// Channels fully acknowledged; the shuffle settles when all are.
+    size_t done_channels = 0;
     /// kMailBatchResend timer; cancelled when the shuffle settles so a
     /// finished statement leaves no event-queue tail behind.
     pool::RetryTimer timer;
@@ -177,9 +179,12 @@ class OfmProcess : public pool::Process {
     uint64_t wire_bits = 0;
   };
 
-  /// Transmits every sendable batch on every channel of `state`, counting
-  /// stalls when a channel runs out of credit mid-drain.
+  /// Transmits every sendable batch on every channel of `state` (setup
+  /// and retransmission only; an ack pumps just its own channel).
   void PumpShuffle(ShuffleState& state);
+  /// Transmits every sendable batch on `sc`, counting a stall when it runs
+  /// out of credit mid-drain, and publishes its credit gauge.
+  void PumpShuffleChannel(ShuffleState& state, ShuffleChannel& sc);
   /// Returns the modelled wire bits of the transmitted batch.
   int64_t SendBatch(const ShuffleState& state, const ShuffleChannel& channel,
                     const exec::TupleBatch& batch);

@@ -14,7 +14,7 @@ OlapMergeProcess::OlapMergeProcess(Config config)
 }
 
 void OlapMergeProcess::OnStart() {
-  channels_->resize(config_.producers);
+  *channels_ = exec::InboundChannelSet(config_.producers);
   if (config_.metrics != nullptr) {
     // Shares the exchange consumer's data-plane counters: the shuffle
     // machinery underneath is the same.
@@ -46,7 +46,6 @@ void OlapMergeProcess::HandleBatch(const pool::Mail& mail) {
   auto msg = std::any_cast<std::shared_ptr<TupleBatchMsg>>(mail.body);
   if (msg->exchange_id != config_.exchange_id) return;
   if (msg->producer >= channels_->size()) return;
-  exec::InboundChannel& channel = (*channels_)[msg->producer];
 
   exec::TupleBatch batch;
   batch.seq = msg->seq;
@@ -60,7 +59,7 @@ void OlapMergeProcess::HandleBatch(const pool::Mail& mail) {
   }
   batch.tuples = std::move(rows_or).value();
   const size_t rows = batch.tuples.size();
-  if (channel.Offer(std::move(batch))) {
+  if (channels_->Offer(msg->producer, std::move(batch))) {
     ChargeCpu(static_cast<sim::SimTime>(rows) * config_.costs.tuple_ns);
     if (m_batches_received_ != nullptr) m_batches_received_->Increment();
   } else if (config_.metrics != nullptr) {
@@ -73,32 +72,28 @@ void OlapMergeProcess::HandleBatch(const pool::Mail& mail) {
 
   // Advance before acking: TakeReady inside Pump moves the cumulative ack
   // point, so the ack below covers this very batch.
-  Pump();
+  Pump(msg->producer);
 
   // Always (re-)acknowledge, even duplicates: a lost ack would otherwise
   // stall the producer's credit window forever.
   auto ack = std::make_shared<BatchAckMsg>();
   ack->shuffle_token = msg->shuffle_token;
   ack->consumer = config_.index;
-  ack->ack = channel.ack();
+  ack->ack = channels_->ack(msg->producer);
   ack->credit = config_.credit_window;
   SendMail(mail.from, kMailBatchAck, std::move(ack), kControlBits);
 }
 
-void OlapMergeProcess::Pump() {
+void OlapMergeProcess::Pump(size_t producer) {
   if (replied_) return;
-  bool all_done = true;
-  // Fixed channel order keeps the materialized input deterministic given
-  // the (deterministic) simulated delivery schedule.
-  for (exec::InboundChannel& channel : *channels_) {
-    for (exec::TupleBatch& batch : channel.TakeReady()) {
-      for (Tuple& tuple : batch.tuples) {
-        rows_->push_back(std::move(tuple));
-      }
+  // Only this batch's channel can have become ready, so the materialized
+  // input keeps the (deterministic) simulated arrival order.
+  for (exec::TupleBatch& batch : channels_->TakeReady(producer)) {
+    for (Tuple& tuple : batch.tuples) {
+      rows_->push_back(std::move(tuple));
     }
-    if (!channel.done()) all_done = false;
   }
-  if (all_done) RunMerge();
+  if (channels_->all_done()) RunMerge();
 }
 
 void OlapMergeProcess::RunMerge() {

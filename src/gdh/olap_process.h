@@ -63,9 +63,9 @@ class OlapMergeProcess : public pool::Process {
 
  private:
   void HandleBatch(const pool::Mail& mail);
-  /// Drains in-order batches into the input buffer; on EOS of every
-  /// channel, runs the merge plan and replies.
-  void Pump();
+  /// Drains channel `producer`'s in-order batches into the input buffer;
+  /// on EOS of every channel, runs the merge plan and replies.
+  void Pump(size_t producer);
   void RunMerge();
   void SendReply(Status status);
   /// Sends the final reply and arms its retransmission.
@@ -73,7 +73,7 @@ class OlapMergeProcess : public pool::Process {
 
   Config config_;
   // Process-local state below is wrapped in the ownership checker.
-  pool::Owned<std::vector<exec::InboundChannel>> channels_;
+  pool::Owned<exec::InboundChannelSet> channels_;
   pool::Owned<std::vector<Tuple>> rows_;  // Materialized shuffle input.
 
   /// Resends the final reply (the timer mail carries it).

@@ -79,14 +79,17 @@ ProcessId Runtime::Spawn(net::NodeId pe, std::unique_ptr<Process> process) {
   process->runtime_ = this;
   process->id_ = id;
   process->pe_ = pe;
-  Process* raw = process.get();
   processes_[id] = std::move(process);
   // OnStart runs behind the PE's CPU like any handler and pays spawn cost.
-  sim_->Schedule(0, [this, pe, id, raw]() {
+  // Liveness is checked again when the body runs: a busy PE defers it, and
+  // a Kill or CrashPe in between destroys the process.
+  sim_->Schedule(0, [this, pe, id]() {
     if (!IsAlive(id)) return;
-    ExecuteHandler(pe, "spawn", id, [this, raw]() {
+    ExecuteHandler(pe, "spawn", id, [this, id]() {
+      auto it = processes_.find(id);
+      if (it == processes_.end()) return;
       handler_charged_ns_ += costs_.spawn_ns;
-      raw->OnStart();
+      it->second->OnStart();
     });
   });
   return id;

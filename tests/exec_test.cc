@@ -854,6 +854,133 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param == ExprMode::kCompiled ? "Compiled" : "Interpreted";
     });
 
+/// Group-by probes the group map with one reused key tuple and allocates
+/// only for new groups. Row and vectorized modes must agree on rows,
+/// expr_evaluations and errors over multi-column, NULL and string keys,
+/// and each mode's charge sequence is pinned: the probe is a host-cost
+/// change only.
+class AggregateProbeTest : public ::testing::Test {
+ protected:
+  static Schema KeySchema() {
+    return Schema({{"id", DataType::kInt64},
+                   {"s", DataType::kString},
+                   {"k", DataType::kInt64},
+                   {"v", DataType::kInt64}});
+  }
+
+  AggregateProbeTest() : keyed_("keyed", KeySchema()) {
+    for (int i = 0; i < 40; ++i) {
+      const Value s = i % 5 == 0 ? Value::Null()
+                                 : Value::String("s" + std::to_string(i % 3));
+      const Value k = i % 7 == 0 ? Value::Null() : Value::Int(i % 4);
+      keyed_.Insert(Tuple({Value::Int(i), s, k, Value::Int(i)})).value();
+    }
+    resolver_.Register("keyed", &keyed_);
+  }
+
+  template <typename MakePlan>
+  ExecutionTrace Trace(const MakePlan& make, ExecMode mode) {
+    auto plan = make(ScanPlan::Create("keyed", KeySchema()));
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    ExecutionTrace trace;
+    ExecOptions opts;
+    opts.exec_mode = mode;
+    opts.batch_rows = 7;  // Groups span batch boundaries.
+    opts.charge = [&trace](sim::SimTime ns) { trace.charges.push_back(ns); };
+    Executor executor(&resolver_, opts);
+    trace.result = executor.Execute(**plan);
+    trace.stats = executor.stats();
+    return trace;
+  }
+
+  /// Runs both modes, checks they agree and that each mode's charges are
+  /// the pinned ones; returns the row-mode trace.
+  template <typename MakePlan>
+  ExecutionTrace ExpectModesAgree(
+      const MakePlan& make, const std::vector<sim::SimTime>& row_charges,
+      const std::vector<sim::SimTime>& vec_charges) {
+    ExecutionTrace row = Trace(make, ExecMode::kRow);
+    ExecutionTrace vec = Trace(make, ExecMode::kVectorized);
+    EXPECT_EQ(row.result.status().code(), vec.result.status().code());
+    EXPECT_EQ(row.result.status().message(), vec.result.status().message());
+    if (row.result.ok() && vec.result.ok()) {
+      EXPECT_EQ(*row.result, *vec.result);
+    }
+    EXPECT_EQ(row.stats.expr_evaluations, vec.stats.expr_evaluations);
+    EXPECT_EQ(row.charges, row_charges);
+    EXPECT_EQ(vec.charges, vec_charges);
+    return row;
+  }
+
+  storage::Relation keyed_;
+  MapTableResolver resolver_;
+};
+
+TEST_F(AggregateProbeTest, MultiColumnNullAndStringKeys) {
+  const ExecutionTrace t = ExpectModesAgree(
+      [](auto child) {
+        std::vector<std::unique_ptr<Expr>> groups;
+        groups.push_back(Col("s"));
+        groups.push_back(Col("k"));
+        std::vector<algebra::AggSpec> aggs;
+        aggs.push_back({AggFunc::kCount, nullptr, "n"});
+        aggs.push_back({AggFunc::kCount, Col("k"), "nk"});
+        aggs.push_back({AggFunc::kSum, Col("v"), "total"});
+        aggs.push_back({AggFunc::kMin, Col("s"), "lo"});
+        aggs.push_back({AggFunc::kMax, Col("v"), "hi"});
+        return AggregatePlan::Create(std::move(child), std::move(groups),
+                                     {"s", "k"}, std::move(aggs));
+      },
+      {16000, 16000}, {6400, 4402, 4402, 4402, 4402, 4402, 3830});
+  ASSERT_TRUE(t.result.ok());
+  // s takes NULL, s0, s1, s2; k takes NULL, 0..3: every pair occurs.
+  ASSERT_EQ(t.result->size(), 20u);
+  EXPECT_TRUE(t.result->front().at(0).is_null());  // NULL sorts first.
+  EXPECT_TRUE(t.result->front().at(1).is_null());
+  int64_t rows = 0;
+  for (const Tuple& row : *t.result) rows += row.at(2).int_value();
+  EXPECT_EQ(rows, 40);
+  EXPECT_EQ(t.stats.expr_evaluations, 40u * 6u);
+}
+
+TEST_F(AggregateProbeTest, CountStarOverStringKeys) {
+  const ExecutionTrace t = ExpectModesAgree(
+      [](auto child) {
+        std::vector<std::unique_ptr<Expr>> groups;
+        groups.push_back(Col("s"));
+        std::vector<algebra::AggSpec> aggs;
+        aggs.push_back({AggFunc::kCount, nullptr, "n"});
+        return AggregatePlan::Create(std::move(child), std::move(groups),
+                                     {"s"}, std::move(aggs));
+      },
+      {16000, 11000}, {6400, 2192, 2192, 2192, 2192, 2192, 1680});
+  ASSERT_TRUE(t.result.ok());
+  ASSERT_EQ(t.result->size(), 4u);
+  EXPECT_TRUE(t.result->at(0).at(0).is_null());
+  EXPECT_EQ(t.result->at(0).at(1), Value::Int(8));  // Multiples of 5.
+  EXPECT_EQ(t.stats.expr_evaluations, 40u);
+}
+
+TEST_F(AggregateProbeTest, GroupExpressionErrorOnRowK) {
+  // 100 / (id - 7) fails on row 7, the first row of the second batch, so
+  // both modes evaluated exactly rows 0..6 before failing.
+  const ExecutionTrace t = ExpectModesAgree(
+      [](auto child) {
+        std::vector<std::unique_ptr<Expr>> groups;
+        groups.push_back(Expr::Binary(
+            BinaryOp::kDiv, Lit(int64_t{100}),
+            Expr::Binary(BinaryOp::kSub, Col("id"), Lit(int64_t{7}))));
+        groups.push_back(Col("s"));
+        std::vector<algebra::AggSpec> aggs;
+        aggs.push_back({AggFunc::kSum, Col("v"), "total"});
+        return AggregatePlan::Create(std::move(child), std::move(groups),
+                                     {"q", "s"}, std::move(aggs));
+      },
+      {16000}, {6400, 4844});
+  EXPECT_EQ(t.result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.stats.expr_evaluations, 7u * 3u);
+}
+
 // ------------------------------------------------- Exchange channels (§10)
 
 TEST(InboundChannelTest, InOrderDeliveryAdvancesAckOnTake) {
@@ -904,6 +1031,84 @@ TEST(InboundChannelTest, DuplicatesAreDiscardedOnce) {
   EXPECT_FALSE(channel.Offer({1, false, Pairs({{1, 10}})}));
   EXPECT_EQ(channel.duplicates(), 2u);
   EXPECT_TRUE(channel.TakeReady().empty());  // Delivered exactly once.
+}
+
+TEST(InboundChannelSetTest, DrainsOnlyTheOfferedChannel) {
+  InboundChannelSet set(3);
+  EXPECT_TRUE(set.Offer(1, {2, true, Pairs({{2, 20}})}));
+  EXPECT_TRUE(set.Offer(0, {1, false, Pairs({{1, 10}})}));
+  // Channel 1 is missing seq 1: nothing ready, nothing acked.
+  EXPECT_TRUE(set.TakeReady(1).empty());
+  EXPECT_EQ(set.ack(1), 0u);
+  // Draining channel 1 left channel 0's ready batch in place.
+  EXPECT_EQ(set.ack(0), 0u);
+  EXPECT_EQ(set.TakeReady(0).size(), 1u);
+  EXPECT_EQ(set.ack(0), 1u);
+
+  EXPECT_TRUE(set.Offer(1, {1, false, Pairs({{1, 10}})}));
+  EXPECT_FALSE(set.Offer(1, {1, false, Pairs({{1, 10}})}));  // Buffered dup.
+  auto ready = set.TakeReady(1);
+  ASSERT_EQ(ready.size(), 2u);
+  EXPECT_EQ(ready[0].seq, 1u);
+  EXPECT_EQ(ready[1].seq, 2u);
+  EXPECT_FALSE(set.Offer(1, {2, true, Pairs({{2, 20}})}));  // Delivered dup.
+  EXPECT_EQ(set.ack(1), 2u);
+  EXPECT_FALSE(set.all_done());  // Channels 0 and 2 are still open.
+}
+
+TEST(InboundChannelSetTest, EosRedeliveredAfterDoneCountsOnce) {
+  InboundChannelSet set(2);
+  EXPECT_TRUE(set.Offer(0, {1, true, {}}));
+  EXPECT_EQ(set.TakeReady(0).size(), 1u);
+  // A retransmitted eos (its ack was lost) is a duplicate: no batch comes
+  // out and channel 0 is not counted done a second time.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_FALSE(set.Offer(0, {1, true, {}}));
+    EXPECT_TRUE(set.TakeReady(0).empty());
+    EXPECT_FALSE(set.all_done());
+  }
+  EXPECT_TRUE(set.Offer(1, {1, true, {}}));
+  EXPECT_EQ(set.TakeReady(1).size(), 1u);
+  EXPECT_TRUE(set.all_done());
+}
+
+TEST(InboundChannelSetTest, EmptyStreamsAndEmptySets) {
+  EXPECT_TRUE(InboundChannelSet().all_done());  // No producers.
+  InboundChannelSet set(2);
+  EXPECT_FALSE(set.all_done());
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_TRUE(set.Offer(i, {1, true, {}}));  // One empty eos batch.
+    auto ready = set.TakeReady(i);
+    ASSERT_EQ(ready.size(), 1u);
+    EXPECT_TRUE(ready[0].tuples.empty());
+  }
+  EXPECT_TRUE(set.all_done());
+}
+
+TEST(InboundChannelSetTest, SixtyFourChannelsCompleteOnTheLastEos) {
+  // 64 producers, three batches each, offered back to front (eos first)
+  // and channels in reverse order: done exactly when the last channel's
+  // prefix completes.
+  constexpr size_t kChannels = 64;
+  InboundChannelSet set(kChannels);
+  size_t delivered = 0;
+  for (uint64_t seq = 3; seq >= 1; --seq) {
+    for (size_t i = kChannels; i-- > 0;) {
+      EXPECT_FALSE(set.all_done());
+      EXPECT_TRUE(set.Offer(
+          i, {seq, seq == 3,
+              Pairs({{static_cast<int64_t>(i), static_cast<int64_t>(seq)}})}));
+      for (TupleBatch& batch : set.TakeReady(i)) {
+        EXPECT_EQ(batch.tuples.at(0).at(0),
+                  Value::Int(static_cast<int64_t>(i)));
+        ++delivered;
+      }
+      EXPECT_EQ(set.ack(i), seq == 1 ? 3u : 0u);
+    }
+  }
+  EXPECT_EQ(delivered, 3 * kChannels);
+  EXPECT_TRUE(set.all_done());
+  for (size_t i = 0; i < kChannels; ++i) EXPECT_EQ(set.ack(i), 3u);
 }
 
 TEST(OutboundChannelTest, FramesIntoBoundedBatchesWithEos) {
@@ -1528,6 +1733,87 @@ TEST_P(OlapEdgeTest, SortRunsSpanBatchBoundaries) {
     EXPECT_EQ(sorted.tuples[i].at(0), Value::Int(i / 20));
     EXPECT_EQ(sorted.tuples[i].at(1), Value::Int((i % 20) * 3 + i / 20));
   }
+}
+
+/// One group-by and one join+group-by over `fragments` hash fragments on
+/// `pes` PEs, with single-row exchange batches under credit `window`.
+struct WideShuffleRun {
+  std::vector<Tuple> grouped;
+  std::vector<Tuple> joined;
+  uint64_t stalls = 0;
+  uint64_t retransmits = 0;
+};
+
+WideShuffleRun RunWideShuffle(ExecMode mode, int pes, size_t fragments,
+                              uint64_t window) {
+  core::MachineConfig config;
+  config.pes = pes;
+  config.exec_mode = mode;
+  config.exchange_batch_rows = 1;
+  config.exchange_credit_window = window;
+  core::PrismaDb db(config);
+  auto must = [&db](const std::string& sql) {
+    auto result = db.Execute(sql);
+    PRISMA_CHECK(result.ok()) << sql << " -> " << result.status().ToString();
+    return std::move(result).value().tuples;
+  };
+  const std::string into =
+      " INTO " + std::to_string(fragments) + " FRAGMENTS";
+  // t is fragmented on id, not on the group/join key g, so both queries
+  // shuffle across all fragment pairs.
+  must("CREATE TABLE t (id INT, g INT, v INT) FRAGMENTED BY HASH(id)" + into);
+  must("CREATE TABLE dim (g INT, name STRING) FRAGMENTED BY HASH(g)" + into);
+  std::string rows = "INSERT INTO t VALUES ";
+  for (int i = 0; i < 1280; ++i) {
+    if (i > 0) rows += ", ";
+    rows += "(" + std::to_string(i) + ", " + std::to_string(i % 200) + ", " +
+            std::to_string(i % 17) + ")";
+  }
+  must(rows);
+  rows = "INSERT INTO dim VALUES ";
+  for (int g = 0; g < 200; ++g) {
+    if (g > 0) rows += ", ";
+    rows += "(" + std::to_string(g) + ", 'n" + std::to_string(g % 13) + "')";
+  }
+  must(rows);
+
+  WideShuffleRun run;
+  run.grouped = must(
+      "SELECT g, COUNT(*) AS n, SUM(v) AS s FROM t GROUP BY g ORDER BY g");
+  run.joined = must(
+      "SELECT d.name, COUNT(*) AS n, SUM(t.v) AS s FROM t JOIN dim d "
+      "ON t.g = d.g GROUP BY d.name ORDER BY name");
+  for (const char* table : {"t", "dim"}) {
+    for (size_t f = 0; f < fragments; ++f) {
+      const obs::Labels labels = {
+          {"fragment", std::string(table) + "#" + std::to_string(f)}};
+      run.stalls += db.metrics().GetCounter("exchange.stalls", labels)->value();
+      run.retransmits +=
+          db.metrics().GetCounter("exchange.retransmits", labels)->value();
+    }
+  }
+  return run;
+}
+
+TEST_P(OlapEdgeTest, SixtyFourFragmentShufflesResumeOnTheirOwnAcks) {
+  // With one-row batches under a one-batch window every multi-row channel
+  // of the 64 x 64 shuffles stalls after each batch; each must resume on
+  // its own consumer's ack, never via the retransmission timer.
+  const WideShuffleRun reference = RunWideShuffle(GetParam(), 1, 1, 4);
+  const WideShuffleRun narrow = RunWideShuffle(GetParam(), 64, 64, 1);
+  const WideShuffleRun wide = RunWideShuffle(GetParam(), 64, 64, 1 << 20);
+
+  ASSERT_EQ(reference.grouped.size(), 200u);
+  ASSERT_EQ(reference.joined.size(), 13u);
+  EXPECT_EQ(narrow.grouped, reference.grouped);
+  EXPECT_EQ(narrow.joined, reference.joined);
+  EXPECT_EQ(wide.grouped, reference.grouped);
+  EXPECT_EQ(wide.joined, reference.joined);
+
+  EXPECT_GT(narrow.stalls, 0u);
+  EXPECT_EQ(wide.stalls, 0u);
+  EXPECT_EQ(narrow.retransmits, 0u);
+  EXPECT_EQ(wide.retransmits, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

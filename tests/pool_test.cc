@@ -242,6 +242,32 @@ TEST_F(PoolTest, CrashPeKillsEveryProcessOnThatPeOnly) {
   EXPECT_EQ(survivor->kinds.size(), 1u);
 }
 
+TEST_F(PoolTest, QueuedSpawnOfKilledProcessNeverStarts) {
+  /// OnStart burns 1 ms, so the second spawn on the same PE queues behind
+  /// the first; killing it while queued must drop its OnStart (it used to
+  /// run on the destroyed process).
+  class SlowStarter : public Process {
+   public:
+    explicit SlowStarter(int* starts) : starts_(starts) {}
+    void OnStart() override {
+      ChargeCpu(1 * sim::kNanosPerMilli);
+      ++*starts_;
+    }
+    void OnMail(const Mail&) override {}
+
+   private:
+    int* starts_;
+  };
+  int starts = 0;
+  runtime_.Spawn(0, std::make_unique<SlowStarter>(&starts));
+  const ProcessId queued =
+      runtime_.Spawn(0, std::make_unique<SlowStarter>(&starts));
+  sim_.Schedule(10, [this, queued]() { runtime_.Kill(queued); });
+  sim_.Run();
+  EXPECT_EQ(starts, 1);
+  EXPECT_FALSE(runtime_.IsAlive(queued));
+}
+
 // ------------------------------------------------- Ownership checker
 
 /// Captures ownership violations instead of aborting, restoring the
