@@ -2,7 +2,7 @@
 
 namespace prisma {
 
-Value ColumnBatch::Column::ValueAt(size_t row) const {
+Value ColumnView::ValueAt(size_t row) const {
   if (boxed) return values[row];
   if (nulls[row] != 0) return Value::Null();
   switch (type) {
@@ -18,6 +18,23 @@ Value ColumnBatch::Column::ValueAt(size_t row) const {
       return Value::String(strings[row]);
   }
   return Value::Null();
+}
+
+void ColumnView::LoadBoxedOrString(size_t row, Value* dst) const {
+  if (boxed) {
+    *dst = values[row];
+  } else if (nulls[row] != 0) {
+    dst->AssignNull();
+  } else {
+    dst->AssignString(strings[row]);
+  }
+}
+
+Tuple RowOfViews(std::span<const ColumnView> columns, size_t row) {
+  std::vector<Value> values;
+  values.reserve(columns.size());
+  for (const ColumnView& col : columns) values.push_back(col.ValueAt(row));
+  return Tuple(std::move(values));
 }
 
 ColumnBatch ColumnBatch::FromTuples(const Tuple* tuples, size_t count) {
@@ -166,6 +183,13 @@ std::vector<Tuple> ColumnBatch::ToTuples() const {
   tuples.reserve(num_rows_);
   for (size_t r = 0; r < num_rows_; ++r) tuples.push_back(RowAt(r));
   return tuples;
+}
+
+std::vector<ColumnView> ColumnBatch::Views() const {
+  std::vector<ColumnView> views;
+  views.reserve(columns_.size());
+  for (const Column& col : columns_) views.push_back(col.View());
+  return views;
 }
 
 size_t ColumnBatch::ByteSize() const {

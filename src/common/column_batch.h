@@ -2,6 +2,7 @@
 #define PRISMA_COMMON_COLUMN_BATCH_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -9,6 +10,47 @@
 #include "common/value.h"
 
 namespace prisma {
+
+/// A read-only window onto consecutive rows of one column: a whole
+/// ColumnBatch::Column, or a run of slots of a stored fragment column
+/// (storage::Relation). Each pointer is offset to the window's first row;
+/// only the payload matching `type` (or `values`, when boxed) is set, plus
+/// `nulls` when not boxed. Valid while the underlying column is unchanged.
+struct ColumnView {
+  DataType type = DataType::kNull;
+  bool boxed = false;
+  const uint8_t* nulls = nullptr;
+  const uint8_t* bools = nullptr;
+  const int64_t* ints = nullptr;
+  const double* doubles = nullptr;
+  const std::string* strings = nullptr;
+  const Value* values = nullptr;
+
+  /// Boxes the value at `row` (copies; use the typed arrays in kernels).
+  Value ValueAt(size_t row) const;
+  /// Overwrites `*dst` with the value at `row` in place, allocating only
+  /// when a string outgrows the buffer `*dst` holds: the refill of a row
+  /// view or group key reused across rows.
+  void LoadInto(size_t row, Value* dst) const {
+    if (boxed || type == DataType::kString) {
+      LoadBoxedOrString(row, dst);
+    } else if (nulls[row] != 0 || type == DataType::kNull) {
+      dst->AssignNull();
+    } else if (type == DataType::kInt64) {
+      dst->AssignInt(ints[row]);
+    } else if (type == DataType::kDouble) {
+      dst->AssignDouble(doubles[row]);
+    } else {
+      dst->AssignBool(bools[row] != 0);
+    }
+  }
+
+ private:
+  void LoadBoxedOrString(size_t row, Value* dst) const;
+};
+
+/// The row at `row` of a set of column windows, boxed into a Tuple.
+Tuple RowOfViews(std::span<const ColumnView> columns, size_t row);
 
 /// A fixed-size run of tuples stored column-wise: per-column typed arrays
 /// plus a row-aligned null vector (DESIGN.md §12). This is the unit of the
@@ -46,7 +88,16 @@ class ColumnBatch {
       return boxed ? values[row].is_null() : nulls[row] != 0;
     }
     /// Boxes the value at `row` (copies; use the typed arrays in kernels).
-    Value ValueAt(size_t row) const;
+    Value ValueAt(size_t row) const { return View().ValueAt(row); }
+    /// The window onto rows [begin, end of column).
+    ColumnView View(size_t begin = 0) const {
+      auto at = [begin](const auto& v) {
+        return v.empty() ? nullptr : v.data() + begin;
+      };
+      return ColumnView{type,        boxed,       at(nulls),
+                        at(bools),   at(ints),    at(doubles),
+                        at(strings), at(values)};
+    }
   };
 
   ColumnBatch() = default;
@@ -85,6 +136,8 @@ class ColumnBatch {
   }
   Tuple RowAt(size_t row) const;
   std::vector<Tuple> ToTuples() const;
+  /// One window per column over all rows (the batch kernels' input).
+  std::vector<ColumnView> Views() const;
 
   /// Approximate in-memory footprint, mirroring Tuple::ByteSize for the
   /// memory tracker and profile byte counts.

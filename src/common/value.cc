@@ -1,6 +1,7 @@
 #include "common/value.h"
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/logging.h"
@@ -66,21 +67,9 @@ const char* DataTypeName(DataType type) {
   return "UNKNOWN";
 }
 
-DataType Value::type() const {
-  switch (rep_.index()) {
-    case 0:
-      return DataType::kNull;
-    case 1:
-      return DataType::kBool;
-    case 2:
-      return DataType::kInt64;
-    case 3:
-      return DataType::kDouble;
-    case 4:
-      return DataType::kString;
-  }
+void Value::CorruptVariant() {
   PRISMA_CHECK(false) << "corrupt Value variant";
-  return DataType::kNull;
+  std::abort();
 }
 
 double Value::AsDouble() const {

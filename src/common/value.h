@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <ostream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <variant>
 
 #include "common/status.h"
@@ -39,7 +41,15 @@ class Value {
   static Value Double(double v) { return Value(Rep(v)); }
   static Value String(std::string v) { return Value(Rep(std::move(v))); }
 
-  DataType type() const;
+  /// The variant index is the DataType (see the static_asserts below); a
+  /// valueless variant is the only index past kString.
+  DataType type() const {
+    const size_t index = rep_.index();
+    if (index > static_cast<size_t>(DataType::kString)) [[unlikely]] {
+      CorruptVariant();
+    }
+    return static_cast<DataType>(index);
+  }
 
   bool is_null() const { return std::holds_alternative<std::monostate>(rep_); }
 
@@ -49,6 +59,21 @@ class Value {
   int64_t int_value() const { return std::get<int64_t>(rep_); }
   double double_value() const { return std::get<double>(rep_); }
   const std::string& string_value() const { return std::get<std::string>(rep_); }
+
+  /// In-place overwrites, for a row view refilled once per row: they skip
+  /// the variant's generic assignment, and AssignString reuses the held
+  /// string's buffer when this already is a STRING.
+  void AssignNull() { rep_.emplace<std::monostate>(); }
+  void AssignBool(bool v) { AssignAlternative(v); }
+  void AssignInt(int64_t v) { AssignAlternative(v); }
+  void AssignDouble(double v) { AssignAlternative(v); }
+  void AssignString(std::string_view v) {
+    if (auto* s = std::get_if<std::string>(&rep_)) {
+      s->assign(v);
+    } else {
+      rep_.emplace<std::string>(v);
+    }
+  }
 
   /// Returns the value as a double, promoting INT; aborts on other types.
   double AsDouble() const;
@@ -74,7 +99,25 @@ class Value {
 
  private:
   using Rep = std::variant<std::monostate, bool, int64_t, double, std::string>;
+  template <DataType T>
+  using Alt = std::variant_alternative_t<static_cast<size_t>(T), Rep>;
+  static_assert(std::is_same_v<Alt<DataType::kNull>, std::monostate>);
+  static_assert(std::is_same_v<Alt<DataType::kBool>, bool>);
+  static_assert(std::is_same_v<Alt<DataType::kInt64>, int64_t>);
+  static_assert(std::is_same_v<Alt<DataType::kDouble>, double>);
+  static_assert(std::is_same_v<Alt<DataType::kString>, std::string>);
+
   explicit Value(Rep rep) : rep_(std::move(rep)) {}
+  [[noreturn]] static void CorruptVariant();
+
+  template <typename T>
+  void AssignAlternative(T v) {
+    if (auto* held = std::get_if<T>(&rep_)) {
+      *held = v;
+    } else {
+      rep_.emplace<T>(v);
+    }
+  }
 
   Rep rep_;
 };

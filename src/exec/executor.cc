@@ -99,19 +99,20 @@ StatusOr<bool> Executor::PreparedExpr::EvalPredicate(const Tuple& tuple) const {
 }
 
 StatusOr<ColumnBatch::Column> Executor::PreparedExpr::EvalBatch(
-    const ColumnBatch& batch) const {
+    std::span<const ColumnView> columns, size_t rows) const {
   if (compiled_ == nullptr) {
     return InternalError("vectorized evaluation requires compiled mode");
   }
-  return compiled_->EvalBatch(batch);
+  return compiled_->EvalBatch(columns, rows);
 }
 
 Status Executor::PreparedExpr::EvalPredicateBatch(
-    const ColumnBatch& batch, std::vector<uint8_t>* keep) const {
+    std::span<const ColumnView> columns, size_t rows,
+    std::vector<uint8_t>* keep) const {
   if (compiled_ == nullptr) {
     return InternalError("vectorized evaluation requires compiled mode");
   }
-  return compiled_->EvalPredicateBatch(batch, keep);
+  return compiled_->EvalPredicateBatch(columns, rows, keep);
 }
 
 // ---------------------------------------------------------------- Executor
@@ -315,12 +316,9 @@ StatusOr<Executor::ChildRows> Executor::ReadChildRows(const Plan& child) {
   }
   if (options_.profile) {
     node.op = OperatorLabel(child);
-    if (rows.stored != nullptr) {
-      rows.stored->Scan([&](storage::RowId, const Tuple& t) {
-        node.bytes += static_cast<uint64_t>(t.ByteSize());
-        return true;
-      });
-    }
+    // The sum of Tuple::ByteSize over the live rows, as a copying scan's
+    // profile counts it.
+    if (rows.stored != nullptr) node.bytes = rows.stored->byte_size();
     AttachProfile(std::move(node));
   }
   RETURN_IF_ERROR(rel.status());
@@ -491,16 +489,50 @@ StatusOr<std::vector<Tuple>> Executor::RunSelect(const SelectPlan& plan) {
   ASSIGN_OR_RETURN(PreparedExpr pred,
                    PreparedExpr::Make(plan.predicate(), options_));
   std::vector<Tuple> out;
-  RETURN_IF_ERROR(in.ForEach([&](auto&& t) -> Status {
-    ASSIGN_OR_RETURN(bool keep, pred.EvalPredicate(t));
-    ++stats_.expr_evaluations;
-    // Copies a stored row, moves an owned one.
-    if (keep) out.push_back(std::forward<decltype(t)>(t));
-    return Status::OK();
-  }));
+  if (in.stored != nullptr && options_.expr_mode == ExprMode::kCompiled) {
+    RETURN_IF_ERROR(FilterInPlace(*in.stored, pred, &out));
+  } else {
+    RETURN_IF_ERROR(in.ForEach([&](auto&& t) -> Status {
+      ASSIGN_OR_RETURN(bool keep, pred.EvalPredicate(t));
+      ++stats_.expr_evaluations;
+      // Copies a stored row, moves an owned one.
+      if (keep) out.push_back(std::forward<decltype(t)>(t));
+      return Status::OK();
+    }));
+  }
   Charge(static_cast<sim::SimTime>(in.size()) *
          (options_.costs.tuple_ns + pred.cost_ns()));
   return out;
+}
+
+Status Executor::FilterInPlace(const storage::Relation& rel,
+                               const PreparedExpr& pred,
+                               std::vector<Tuple>* out) {
+  Status status;
+  std::vector<uint8_t> keep;
+  rel.ScanSlices(options_.batch_rows, [&](std::span<const storage::RowId> rows,
+                                          std::span<const ColumnView> cols) {
+    status = pred.EvalPredicateBatch(cols, rows.size(), &keep);
+    if (!status.ok()) {
+      // Replay the slice row at a time: the row path's error, and its
+      // count of the evaluations that succeeded before it.
+      for (size_t r = 0; r < rows.size(); ++r) {
+        StatusOr<bool> row_keep = pred.EvalPredicate(RowOfViews(cols, r));
+        if (!row_keep.ok()) {
+          status = row_keep.status();
+          break;
+        }
+        ++stats_.expr_evaluations;
+      }
+      return false;
+    }
+    stats_.expr_evaluations += rows.size();
+    for (size_t r = 0; r < rows.size(); ++r) {
+      if (keep[r] != 0) out->push_back(RowOfViews(cols, r));
+    }
+    return true;
+  });
+  return status;
 }
 
 StatusOr<std::vector<Tuple>> Executor::RunProject(const ProjectPlan& plan) {
@@ -660,79 +692,215 @@ struct AggState {
 
 using GroupMap = std::map<Tuple, std::vector<AggState>>;
 
-/// The group of `key`, inserted with fresh states when new. Probing with a
-/// caller-owned key means only a new group allocates (a key copy and its
-/// states), not every input row.
-GroupMap::iterator FindOrAddGroup(GroupMap& groups, const Tuple& key,
-                                  size_t num_aggs) {
-  auto it = groups.lower_bound(key);
-  if (it == groups.end() || key < it->first) {
-    it = groups.emplace_hint(it, key, std::vector<AggState>(num_aggs));
-  }
-  return it;
-}
-
 }  // namespace
+
+/// The group map of one Aggregate plus its prepared key and argument
+/// expressions. Rows arrive one at a time (AddRow, the row loop) or as
+/// column windows (AddColumns: the vectorized operator, and the row-mode
+/// operator over a fragment read in place). std::map keeps the output in
+/// group order, so both feeds produce the same rows.
+class Executor::GroupBy {
+ public:
+  static StatusOr<GroupBy> Make(const AggregatePlan& plan,
+                                const ExecOptions& options) {
+    GroupBy g(plan);
+    g.row_cost_ns_ = options.costs.hash_ns;
+    g.vrow_cost_ns_ = options.costs.hash_ns;
+    auto add = [&](const algebra::Expr& e) -> StatusOr<PreparedExpr> {
+      ASSIGN_OR_RETURN(PreparedExpr p, PreparedExpr::Make(e, options));
+      g.row_cost_ns_ += p.cost_ns();
+      g.vrow_cost_ns_ += p.vrow_cost_ns();
+      g.vbatch_cost_ns_ += p.vbatch_cost_ns();
+      return p;
+    };
+    for (const auto& k : plan.group_by()) {
+      ASSIGN_OR_RETURN(PreparedExpr p, add(*k));
+      g.keys_.push_back(std::move(p));
+    }
+    g.args_.resize(plan.aggs().size());
+    for (size_t i = 0; i < plan.aggs().size(); ++i) {
+      if (plan.aggs()[i].arg == nullptr) continue;
+      ASSIGN_OR_RETURN(PreparedExpr p, add(*plan.aggs()[i].arg));
+      g.args_[i] = std::move(p);
+      ++g.num_exprs_;
+    }
+    g.num_exprs_ += g.keys_.size();
+    g.key_ = Tuple(std::vector<Value>(g.keys_.size()));
+    return g;
+  }
+
+  /// Row-path charge per input row, and the vectorized per-row and
+  /// per-batch charges.
+  sim::SimTime row_cost_ns() const { return row_cost_ns_; }
+  sim::SimTime vrow_cost_ns() const { return vrow_cost_ns_; }
+  sim::SimTime vbatch_cost_ns() const { return vbatch_cost_ns_; }
+  /// Expression evaluations per input row (keys plus arguments).
+  size_t num_exprs() const { return num_exprs_; }
+
+  /// Folds one row: each key, then each argument, counting every
+  /// evaluation that succeeds in `*evaluations`.
+  Status AddRow(const Tuple& row, uint64_t* evaluations) {
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      ASSIGN_OR_RETURN(key_.at(k), keys_[k].Eval(row));
+      ++*evaluations;
+    }
+    auto it = FindOrAddGroup(key_);
+    for (size_t i = 0; i < args_.size(); ++i) {
+      Value v;
+      if (args_[i].has_value()) {
+        ASSIGN_OR_RETURN(v, args_[i]->Eval(row));
+        ++*evaluations;
+      }
+      it->second[i].Add(v, plan_.aggs()[i].func, !args_[i].has_value());
+    }
+    return Status::OK();
+  }
+
+  /// Folds `rows` rows of `columns`, evaluating keys and arguments with
+  /// the batch kernels (compiled mode). On an error nothing of the slice
+  /// is folded, and the slice is replayed row-major to return the error
+  /// of its first failing row (its first failing expression), as the row
+  /// loop would; `replay_evaluations`, when set, counts the evaluations
+  /// that succeeded before it, as AddRow counts them.
+  Status AddColumns(std::span<const ColumnView> columns, size_t rows,
+                    uint64_t* replay_evaluations) {
+    Status status = EvalColumns(columns, rows);
+    if (!status.ok()) {
+      uint64_t ignored = 0;
+      RETURN_IF_ERROR(ReplayRowMajor(
+          columns, rows,
+          replay_evaluations != nullptr ? replay_evaluations : &ignored));
+      return status;
+    }
+    Value v;
+    for (size_t r = 0; r < rows; ++r) {
+      for (size_t k = 0; k < keys_.size(); ++k) {
+        key_cols_[k].LoadInto(r, &key_.at(k));
+      }
+      auto it = FindOrAddGroup(key_);
+      for (size_t i = 0; i < args_.size(); ++i) {
+        if (args_[i].has_value()) {
+          arg_cols_[i].LoadInto(r, &v);
+        } else {
+          v.AssignNull();
+        }
+        it->second[i].Add(v, plan_.aggs()[i].func, !args_[i].has_value());
+      }
+    }
+    return Status::OK();
+  }
+
+  /// One row per group, in group order; a grand total (no GROUP BY)
+  /// always emits exactly one row.
+  std::vector<Tuple> Finish() {
+    if (groups_.empty() && plan_.group_by().empty()) {
+      groups_.try_emplace(Tuple(),
+                          std::vector<AggState>(plan_.aggs().size()));
+    }
+    std::vector<Tuple> out;
+    out.reserve(groups_.size());
+    const size_t num_groups = plan_.group_by().size();
+    for (const auto& [key, states] : groups_) {
+      std::vector<Value> row = key.values();
+      for (size_t i = 0; i < states.size(); ++i) {
+        row.push_back(states[i].Result(
+            plan_.aggs()[i].func, plan_.schema().column(num_groups + i).type));
+      }
+      out.push_back(Tuple(std::move(row)));
+    }
+    return out;
+  }
+
+ private:
+  explicit GroupBy(const AggregatePlan& plan) : plan_(plan) {}
+
+  /// The group of `key`, inserted with fresh states when new. Probing with
+  /// the reused key means only a new group allocates (a key copy and its
+  /// states), not every input row.
+  GroupMap::iterator FindOrAddGroup(const Tuple& key) {
+    auto it = groups_.lower_bound(key);
+    if (it == groups_.end() || key < it->first) {
+      it = groups_.emplace_hint(it, key,
+                                std::vector<AggState>(plan_.aggs().size()));
+    }
+    return it;
+  }
+
+  /// Evaluates every key and argument over the slice into `key_cols_` and
+  /// `arg_cols_` (windows onto `results_`, valid until the next slice).
+  Status EvalColumns(std::span<const ColumnView> columns, size_t rows) {
+    results_.resize(keys_.size() + args_.size());
+    key_cols_.resize(keys_.size());
+    arg_cols_.resize(args_.size());
+    for (size_t k = 0; k < keys_.size(); ++k) {
+      ASSIGN_OR_RETURN(results_[k], keys_[k].EvalBatch(columns, rows));
+      key_cols_[k] = results_[k].View();
+    }
+    for (size_t i = 0; i < args_.size(); ++i) {
+      if (!args_[i].has_value()) continue;
+      ColumnBatch::Column& col = results_[keys_.size() + i];
+      ASSIGN_OR_RETURN(col, args_[i]->EvalBatch(columns, rows));
+      arg_cols_[i] = col.View();
+    }
+    return Status::OK();
+  }
+
+  Status ReplayRowMajor(std::span<const ColumnView> columns, size_t rows,
+                        uint64_t* evaluations) const {
+    for (size_t r = 0; r < rows; ++r) {
+      const Tuple row = RowOfViews(columns, r);
+      for (const PreparedExpr& k : keys_) {
+        RETURN_IF_ERROR(k.Eval(row).status());
+        ++*evaluations;
+      }
+      for (const auto& a : args_) {
+        if (!a.has_value()) continue;
+        RETURN_IF_ERROR(a->Eval(row).status());
+        ++*evaluations;
+      }
+    }
+    return Status::OK();
+  }
+
+  const AggregatePlan& plan_;
+  std::vector<PreparedExpr> keys_;
+  std::vector<std::optional<PreparedExpr>> args_;  // nullopt: COUNT(*).
+  size_t num_exprs_ = 0;
+  sim::SimTime row_cost_ns_ = 0;
+  sim::SimTime vrow_cost_ns_ = 0;
+  sim::SimTime vbatch_cost_ns_ = 0;
+  GroupMap groups_;
+  Tuple key_;  // Reused probe key.
+  std::vector<ColumnView> key_cols_;
+  std::vector<ColumnView> arg_cols_;
+  std::vector<ColumnBatch::Column> results_;
+};
 
 StatusOr<std::vector<Tuple>> Executor::RunAggregate(const AggregatePlan& plan) {
   ASSIGN_OR_RETURN(ChildRows in, ReadChildRows(*plan.child()));
-
-  std::vector<PreparedExpr> group_exprs;
-  sim::SimTime per_tuple = options_.costs.hash_ns;
-  for (const auto& g : plan.group_by()) {
-    ASSIGN_OR_RETURN(PreparedExpr p, PreparedExpr::Make(*g, options_));
-    per_tuple += p.cost_ns();
-    group_exprs.push_back(std::move(p));
+  ASSIGN_OR_RETURN(GroupBy group_by, GroupBy::Make(plan, options_));
+  if (in.stored != nullptr && options_.expr_mode == ExprMode::kCompiled) {
+    // In place: column-wise over the fragment's slices, with the row
+    // loop's evaluation count and error.
+    Status status;
+    in.stored->ScanSlices(
+        options_.batch_rows, [&](std::span<const storage::RowId> rows,
+                                 std::span<const ColumnView> cols) {
+          status = group_by.AddColumns(cols, rows.size(),
+                                       &stats_.expr_evaluations);
+          if (status.ok()) {
+            stats_.expr_evaluations += rows.size() * group_by.num_exprs();
+          }
+          return status.ok();
+        });
+    RETURN_IF_ERROR(status);
+  } else {
+    RETURN_IF_ERROR(in.ForEach([&](const Tuple& t) {
+      return group_by.AddRow(t, &stats_.expr_evaluations);
+    }));
   }
-  std::vector<PreparedExpr> agg_args(plan.aggs().size());
-  std::vector<bool> has_arg(plan.aggs().size(), false);
-  for (size_t i = 0; i < plan.aggs().size(); ++i) {
-    if (plan.aggs()[i].arg != nullptr) {
-      ASSIGN_OR_RETURN(PreparedExpr p,
-                       PreparedExpr::Make(*plan.aggs()[i].arg, options_));
-      per_tuple += p.cost_ns();
-      agg_args[i] = std::move(p);
-      has_arg[i] = true;
-    }
-  }
-
-  // Grouped accumulation; std::map keeps output deterministic in group
-  // order. A grand total (no GROUP BY) always emits exactly one row.
-  GroupMap groups;
-  Tuple key(std::vector<Value>(group_exprs.size()));
-  RETURN_IF_ERROR(in.ForEach([&](const Tuple& t) -> Status {
-    for (size_t k = 0; k < group_exprs.size(); ++k) {
-      ASSIGN_OR_RETURN(key.at(k), group_exprs[k].Eval(t));
-      ++stats_.expr_evaluations;
-    }
-    auto it = FindOrAddGroup(groups, key, plan.aggs().size());
-    for (size_t i = 0; i < plan.aggs().size(); ++i) {
-      Value v;
-      if (has_arg[i]) {
-        ASSIGN_OR_RETURN(v, agg_args[i].Eval(t));
-        ++stats_.expr_evaluations;
-      }
-      it->second[i].Add(v, plan.aggs()[i].func, !has_arg[i]);
-    }
-    return Status::OK();
-  }));
-  if (groups.empty() && plan.group_by().empty()) {
-    groups.try_emplace(Tuple(), std::vector<AggState>(plan.aggs().size()));
-  }
-  Charge(static_cast<sim::SimTime>(in.size()) * per_tuple);
-
-  std::vector<Tuple> out;
-  out.reserve(groups.size());
-  const size_t num_groups = plan.group_by().size();
-  for (const auto& [key, states] : groups) {
-    std::vector<Value> row = key.values();
-    for (size_t i = 0; i < states.size(); ++i) {
-      row.push_back(states[i].Result(
-          plan.aggs()[i].func, plan.schema().column(num_groups + i).type));
-    }
-    out.push_back(Tuple(std::move(row)));
-  }
-  return out;
+  Charge(static_cast<sim::SimTime>(in.size()) * group_by.row_cost_ns());
+  return group_by.Finish();
 }
 
 StatusOr<std::vector<Tuple>> Executor::RunSort(const SortPlan& plan) {
@@ -902,7 +1070,7 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunSelectBatches(
   std::vector<uint8_t> keep;
   std::vector<uint32_t> idx;
   for (const ColumnBatch& b : in) {
-    RETURN_IF_ERROR(pred.EvalPredicateBatch(b, &keep));
+    RETURN_IF_ERROR(pred.EvalPredicateBatch(b.Views(), b.num_rows(), &keep));
     stats_.expr_evaluations += b.num_rows();
     Charge(static_cast<sim::SimTime>(b.num_rows()) *
                (options_.costs.batch_row_ns + pred.vrow_cost_ns()) +
@@ -932,10 +1100,11 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunProjectBatches(
   std::vector<ColumnBatch> out;
   out.reserve(in.size());
   for (const ColumnBatch& b : in) {
+    const std::vector<ColumnView> views = b.Views();
     std::vector<ColumnBatch::Column> cols;
     cols.reserve(exprs.size());
     for (const PreparedExpr& e : exprs) {
-      StatusOr<ColumnBatch::Column> col = e.EvalBatch(b);
+      StatusOr<ColumnBatch::Column> col = e.EvalBatch(views, b.num_rows());
       if (!col.ok()) {
         // Surface the same first error as the row path: re-evaluate this
         // batch row-major (row-then-expression order).
@@ -995,99 +1164,14 @@ StatusOr<std::vector<ColumnBatch>> Executor::RunJoinBatches(
 StatusOr<std::vector<ColumnBatch>> Executor::RunAggregateBatches(
     const AggregatePlan& plan) {
   ASSIGN_OR_RETURN(std::vector<ColumnBatch> in, RunBatches(*plan.child()));
-
-  std::vector<PreparedExpr> group_exprs;
-  sim::SimTime per_row = options_.costs.hash_ns;
-  sim::SimTime per_batch = 0;
-  for (const auto& g : plan.group_by()) {
-    ASSIGN_OR_RETURN(PreparedExpr p, PreparedExpr::Make(*g, options_));
-    per_row += p.vrow_cost_ns();
-    per_batch += p.vbatch_cost_ns();
-    group_exprs.push_back(std::move(p));
-  }
-  std::vector<PreparedExpr> agg_args(plan.aggs().size());
-  std::vector<bool> has_arg(plan.aggs().size(), false);
-  for (size_t i = 0; i < plan.aggs().size(); ++i) {
-    if (plan.aggs()[i].arg != nullptr) {
-      ASSIGN_OR_RETURN(PreparedExpr p,
-                       PreparedExpr::Make(*plan.aggs()[i].arg, options_));
-      per_row += p.vrow_cost_ns();
-      per_batch += p.vbatch_cost_ns();
-      agg_args[i] = std::move(p);
-      has_arg[i] = true;
-    }
-  }
-
-  GroupMap groups;
-  Tuple key(std::vector<Value>(group_exprs.size()));
+  ASSIGN_OR_RETURN(GroupBy group_by, GroupBy::Make(plan, options_));
   for (const ColumnBatch& b : in) {
-    // Evaluate all key and argument expressions column-wise; on any error,
-    // re-run this batch row-major to surface the row path's first error.
-    auto row_major_error = [&]() -> Status {
-      for (size_t r = 0; r < b.num_rows(); ++r) {
-        const Tuple row = b.RowAt(r);
-        for (const PreparedExpr& g : group_exprs) {
-          RETURN_IF_ERROR(g.Eval(row).status());
-        }
-        for (size_t i = 0; i < plan.aggs().size(); ++i) {
-          if (has_arg[i]) RETURN_IF_ERROR(agg_args[i].Eval(row).status());
-        }
-      }
-      return Status::OK();
-    };
-    std::vector<ColumnBatch::Column> key_cols;
-    key_cols.reserve(group_exprs.size());
-    for (const PreparedExpr& g : group_exprs) {
-      StatusOr<ColumnBatch::Column> col = g.EvalBatch(b);
-      if (!col.ok()) {
-        RETURN_IF_ERROR(row_major_error());
-        return col.status();
-      }
-      key_cols.push_back(std::move(*col));
-    }
-    std::vector<ColumnBatch::Column> arg_cols(plan.aggs().size());
-    for (size_t i = 0; i < plan.aggs().size(); ++i) {
-      if (!has_arg[i]) continue;
-      StatusOr<ColumnBatch::Column> col = agg_args[i].EvalBatch(b);
-      if (!col.ok()) {
-        RETURN_IF_ERROR(row_major_error());
-        return col.status();
-      }
-      arg_cols[i] = std::move(*col);
-    }
-    for (size_t r = 0; r < b.num_rows(); ++r) {
-      for (size_t k = 0; k < key_cols.size(); ++k) {
-        key.at(k) = key_cols[k].ValueAt(r);
-      }
-      auto it = FindOrAddGroup(groups, key, plan.aggs().size());
-      for (size_t i = 0; i < plan.aggs().size(); ++i) {
-        Value v;
-        if (has_arg[i]) v = arg_cols[i].ValueAt(r);
-        it->second[i].Add(v, plan.aggs()[i].func, !has_arg[i]);
-      }
-    }
-    stats_.expr_evaluations +=
-        b.num_rows() * (group_exprs.size() +
-                        static_cast<size_t>(std::count(
-                            has_arg.begin(), has_arg.end(), true)));
-    Charge(static_cast<sim::SimTime>(b.num_rows()) * per_row + per_batch);
+    RETURN_IF_ERROR(group_by.AddColumns(b.Views(), b.num_rows(), nullptr));
+    stats_.expr_evaluations += b.num_rows() * group_by.num_exprs();
+    Charge(static_cast<sim::SimTime>(b.num_rows()) * group_by.vrow_cost_ns() +
+           group_by.vbatch_cost_ns());
   }
-  if (groups.empty() && plan.group_by().empty()) {
-    groups.try_emplace(Tuple(), std::vector<AggState>(plan.aggs().size()));
-  }
-
-  std::vector<Tuple> rows;
-  rows.reserve(groups.size());
-  const size_t num_groups = plan.group_by().size();
-  for (const auto& [key, states] : groups) {
-    std::vector<Value> row = key.values();
-    for (size_t i = 0; i < states.size(); ++i) {
-      row.push_back(states[i].Result(
-          plan.aggs()[i].func, plan.schema().column(num_groups + i).type));
-    }
-    rows.push_back(Tuple(std::move(row)));
-  }
-  return ColumnBatch::Chunk(rows, options_.batch_rows);
+  return ColumnBatch::Chunk(group_by.Finish(), options_.batch_rows);
 }
 
 }  // namespace prisma::exec

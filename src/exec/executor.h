@@ -6,6 +6,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -159,8 +160,10 @@ class Executor {
                                        const ExecOptions& options);
     StatusOr<Value> Eval(const Tuple& tuple) const;
     StatusOr<bool> EvalPredicate(const Tuple& tuple) const;
-    StatusOr<ColumnBatch::Column> EvalBatch(const ColumnBatch& batch) const;
-    Status EvalPredicateBatch(const ColumnBatch& batch,
+    /// Batch kernels over `rows` rows of column windows (compiled mode).
+    StatusOr<ColumnBatch::Column> EvalBatch(std::span<const ColumnView> columns,
+                                            size_t rows) const;
+    Status EvalPredicateBatch(std::span<const ColumnView> columns, size_t rows,
                               std::vector<uint8_t>* keep) const;
     sim::SimTime cost_ns() const { return cost_ns_; }
     /// Vectorized costs: per-row tight-loop work and the per-batch kernel
@@ -175,6 +178,9 @@ class Executor {
     sim::SimTime vrow_cost_ns_ = 0;
     sim::SimTime vbatch_cost_ns_ = 0;
   };
+
+  /// Grouping state of one Aggregate, fed row by row or column-wise.
+  class GroupBy;
 
   void Charge(sim::SimTime ns);
 
@@ -204,10 +210,12 @@ class Executor {
   StatusOr<std::vector<Tuple>> RunChildRows(const algebra::Plan& child);
 
   /// Input of RunSelect, RunProject and RunAggregate. A row-mode Scan
-  /// child is read in place: ForEach hands out `const Tuple&` into the
-  /// fragment, so only the rows a parent emits get copied. Any other child
-  /// is materialized through RunChildRows and ForEach hands out its rows
-  /// as `Tuple&&`.
+  /// child is read in place (`stored`): compiled Select and Aggregate read
+  /// its column slices (Relation::ScanSlices), and ForEach hands out the
+  /// fragment's reused row view as `const Tuple&` (valid only during the
+  /// call), so only the rows a parent emits get copied. Any other child is
+  /// materialized through RunChildRows and ForEach hands out its rows as
+  /// `Tuple&&`.
   struct ChildRows {
     const storage::Relation* stored = nullptr;  // In-place fragment.
     std::vector<Tuple> owned;                    // Otherwise.
@@ -224,6 +232,13 @@ class Executor {
   /// stats, charge and profile node of Run(scan), so the parent sees the
   /// same accounting at the same point as with a copying scan.
   StatusOr<ChildRows> ReadChildRows(const algebra::Plan& child);
+
+  /// RunSelect's filter over a fragment read in place with a compiled
+  /// predicate: the batch kernel runs over the stored column slices of
+  /// the live rows in RowId order, and only emitted rows become Tuples.
+  /// Rows, expr_evaluations and the returned Status equal the row path's.
+  Status FilterInPlace(const storage::Relation& rel, const PreparedExpr& pred,
+                       std::vector<Tuple>* out);
 
   /// Hangs a finished profile node under current_profile_ (or makes it
   /// the root when there is none).

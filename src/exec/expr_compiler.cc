@@ -495,8 +495,8 @@ Status CompiledExpr::Run(const Tuple& tuple) const {
   return Status::OK();
 }
 
-Status CompiledExpr::RunBatch(const ColumnBatch& batch) const {
-  const size_t rows = batch.num_rows();
+Status CompiledExpr::RunBatch(std::span<const ColumnView> columns,
+                              size_t rows) const {
   if (vregs_.size() != num_regs_) vregs_.resize(num_regs_);
   if (vscratch_.size() != scratch_.size()) vscratch_.resize(scratch_.size());
   // First failing row (and its message); mirrors the per-tuple path, whose
@@ -539,10 +539,10 @@ Status CompiledExpr::RunBatch(const ColumnBatch& batch) const {
         break;
       }
       case OpCode::kLoadCol: {
-        if (in.aux >= batch.num_columns()) {
+        if (in.aux >= columns.size()) {
           return InternalError("column index beyond batch width");
         }
-        const ColumnBatch::Column& col = batch.column(in.aux);
+        const ColumnView& col = columns[in.aux];
         d.null.resize(rows);
         if (col.boxed) {
           // Mixed-type column: unbox per row, as the per-tuple path does.
@@ -573,18 +573,18 @@ Status CompiledExpr::RunBatch(const ColumnBatch& batch) const {
           }
           break;
         }
-        d.null = col.nulls;
+        d.null.assign(col.nulls, col.nulls + rows);
         switch (col.type) {
           case DataType::kNull:
             break;
           case DataType::kBool:
-            d.b = col.bools;
+            d.b.assign(col.bools, col.bools + rows);
             break;
           case DataType::kInt64:
-            d.i = col.ints;
+            d.i.assign(col.ints, col.ints + rows);
             break;
           case DataType::kDouble:
-            d.d = col.doubles;
+            d.d.assign(col.doubles, col.doubles + rows);
             break;
           case DataType::kString:
             d.s.resize(rows);
@@ -817,8 +817,12 @@ Status CompiledExpr::RunBatch(const ColumnBatch& batch) const {
 
 StatusOr<ColumnBatch::Column> CompiledExpr::EvalBatch(
     const ColumnBatch& batch) const {
-  RETURN_IF_ERROR(RunBatch(batch));
-  const size_t rows = batch.num_rows();
+  return EvalBatch(batch.Views(), batch.num_rows());
+}
+
+StatusOr<ColumnBatch::Column> CompiledExpr::EvalBatch(
+    std::span<const ColumnView> columns, size_t rows) const {
+  RETURN_IF_ERROR(RunBatch(columns, rows));
   const VReg& res = vregs_[result_reg_];
   ColumnBatch::Column col;
   col.type = result_type_;
@@ -860,8 +864,13 @@ StatusOr<ColumnBatch::Column> CompiledExpr::EvalBatch(
 
 Status CompiledExpr::EvalPredicateBatch(const ColumnBatch& batch,
                                         std::vector<uint8_t>* keep) const {
-  RETURN_IF_ERROR(RunBatch(batch));
-  const size_t rows = batch.num_rows();
+  return EvalPredicateBatch(batch.Views(), batch.num_rows(), keep);
+}
+
+Status CompiledExpr::EvalPredicateBatch(std::span<const ColumnView> columns,
+                                        size_t rows,
+                                        std::vector<uint8_t>* keep) const {
+  RETURN_IF_ERROR(RunBatch(columns, rows));
   keep->assign(rows, 0);
   if (result_type_ != DataType::kBool) return Status::OK();
   const VReg& res = vregs_[result_reg_];

@@ -2,6 +2,7 @@
 #define PRISMA_EXEC_EXPR_COMPILER_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -94,10 +95,17 @@ class CompiledExpr {
   /// per-tuple path exactly: the Status of the first failing row, and
   /// within it the first failing instruction in program order.
   StatusOr<ColumnBatch::Column> EvalBatch(const ColumnBatch& batch) const;
+  /// The same over `rows` rows of column windows (one per input column).
+  StatusOr<ColumnBatch::Column> EvalBatch(std::span<const ColumnView> columns,
+                                          size_t rows) const;
 
   /// Vectorized predicate: fills `keep` (one byte per row; 1 = the
   /// predicate is true) with exactly the rows EvalPredicate would accept.
   Status EvalPredicateBatch(const ColumnBatch& batch,
+                            std::vector<uint8_t>* keep) const;
+  /// The same over `rows` rows of column windows (one per input column),
+  /// e.g. the stored columns of a fragment read in place.
+  Status EvalPredicateBatch(std::span<const ColumnView> columns, size_t rows,
                             std::vector<uint8_t>* keep) const;
 
   size_t num_instructions() const { return code_.size(); }
@@ -130,7 +138,7 @@ class CompiledExpr {
   };
 
   Status Run(const Tuple& tuple) const;
-  Status RunBatch(const ColumnBatch& batch) const;
+  Status RunBatch(std::span<const ColumnView> columns, size_t rows) const;
 
   std::vector<Instruction> code_;
   std::vector<Value> constants_;

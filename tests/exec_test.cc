@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <set>
+#include <string>
 
 #include "algebra/expr.h"
 #include "algebra/plan.h"
@@ -722,7 +723,9 @@ class InPlaceScanTest : public ExecutorTest,
   /// `make(child)` builds the operator under test over `child`.
   template <typename MakePlan>
   ExecutionTrace Trace(const MakePlan& make, bool copying) {
-    std::unique_ptr<algebra::Plan> child = EmpScan();
+    const storage::Relation* rel = resolver_.Resolve(table_).value();
+    std::unique_ptr<algebra::Plan> child =
+        ScanPlan::Create(table_, rel->schema());
     if (copying) {
       child = algebra::ExchangePlan::Create(
           std::move(child), algebra::ExchangePlan::Mode::kHashPartition, {0});
@@ -732,6 +735,7 @@ class InPlaceScanTest : public ExecutorTest,
     ExecutionTrace trace;
     ExecOptions opts;
     opts.expr_mode = GetParam();
+    opts.batch_rows = batch_rows_;
     opts.profile = true;
     opts.charge = [&trace](sim::SimTime ns) { trace.charges.push_back(ns); };
     Executor executor(&resolver_, opts);
@@ -744,10 +748,11 @@ class InPlaceScanTest : public ExecutorTest,
   /// Runs both forms and checks they agree; returns the in-place trace.
   template <typename MakePlan>
   ExecutionTrace ExpectSameAsCopying(const MakePlan& make) {
-    const std::vector<Tuple> stored = emp_.AllTuples();
+    const storage::Relation* rel = resolver_.Resolve(table_).value();
+    const std::vector<Tuple> stored = rel->AllTuples();
     ExecutionTrace in_place = Trace(make, /*copying=*/false);
     ExecutionTrace copying = Trace(make, /*copying=*/true);
-    EXPECT_EQ(emp_.AllTuples(), stored);  // Emitted rows were copies.
+    EXPECT_EQ(rel->AllTuples(), stored);  // Emitted rows were copies.
 
     EXPECT_EQ(in_place.result.status().code(), copying.result.status().code());
     EXPECT_EQ(in_place.result.status().message(),
@@ -776,7 +781,7 @@ class InPlaceScanTest : public ExecutorTest,
         copying.profile->children.size() == 1) {
       const obs::OperatorProfile& scan = in_place.profile->children[0];
       const obs::OperatorProfile& copy = copying.profile->children[0];
-      EXPECT_EQ(scan.op, "Scan(emp)");
+      EXPECT_EQ(scan.op, "Scan(" + table_ + ")");
       EXPECT_TRUE(scan.children.empty());
       EXPECT_EQ(scan.rows, copy.rows);
       EXPECT_EQ(scan.bytes, copy.bytes);
@@ -784,6 +789,11 @@ class InPlaceScanTest : public ExecutorTest,
     }
     return in_place;
   }
+
+  /// Table the traced plans scan, and the executor's batch size (the
+  /// in-place filter's slice length).
+  std::string table_ = "emp";
+  size_t batch_rows_ = ColumnBatch::kDefaultBatchRows;
 };
 
 TEST_P(InPlaceScanTest, SelectMatchesCopyingScan) {
@@ -847,12 +857,202 @@ TEST_P(InPlaceScanTest, PredicateErrorMidScanMatchesCopyingScan) {
   EXPECT_EQ(t.stats.tuples_scanned, 25u);  // The whole scan was charged.
 }
 
+TEST_P(InPlaceScanTest, TombstonesBeforeFailingRowMatchCopyingScan) {
+  // Slot 0 is a tombstone whose id was 0: 100 / id would fail there, but
+  // tombstones are never evaluated. Slot 13, tombstoned too, sits right
+  // in front of live row 14, where 100 / (id - 14) does fail. Slices of
+  // 1, 4 and 1024 rows put the failing row at different slice offsets.
+  for (const size_t batch_rows : {size_t{1}, size_t{4}, size_t{1024}}) {
+    batch_rows_ = batch_rows;
+    const ExecutionTrace ok = ExpectSameAsCopying([](auto child) {
+      return SelectPlan::Create(
+          std::move(child),
+          Expr::Binary(BinaryOp::kGt,
+                       Expr::Binary(BinaryOp::kDiv, Lit(int64_t{100}),
+                                    Col("id")),
+                       Lit(int64_t{10})));
+    });
+    ASSERT_TRUE(ok.result.ok()) << ok.result.status().ToString();
+    EXPECT_EQ(ok.result->size(), 7u);  // ids 1..9 minus tombstoned 5, 6.
+    EXPECT_EQ(ok.stats.expr_evaluations, 25u);
+
+    const ExecutionTrace failed = ExpectSameAsCopying([](auto child) {
+      return SelectPlan::Create(
+          std::move(child),
+          Expr::Binary(BinaryOp::kGt,
+                       Expr::Binary(BinaryOp::kDiv, Lit(int64_t{100}),
+                                    Expr::Binary(BinaryOp::kSub, Col("id"),
+                                                 Lit(int64_t{14}))),
+                       Lit(int64_t{0})));
+    });
+    EXPECT_EQ(failed.result.status().code(), StatusCode::kInvalidArgument);
+    // Live ids 1..12 minus 5 and 6 passed before id 14 failed.
+    EXPECT_EQ(failed.stats.expr_evaluations, 10u) << batch_rows;
+  }
+}
+
+TEST_P(InPlaceScanTest, EmittedRowsAreCopiesOfTheRowView) {
+  // Every emitted row must be its own copy: a reference to the reused row
+  // view (or slice) would leave all of them equal to the last row read.
+  // Under kInterpreted the filter runs over the row view; under kCompiled
+  // over column slices.
+  const ExecutionTrace t = ExpectSameAsCopying([](auto child) {
+    return SelectPlan::Create(
+        std::move(child),
+        Expr::Binary(
+            BinaryOp::kAnd,
+            Expr::Binary(BinaryOp::kEq, Col("dept"), Lit(std::string("eng"))),
+            Expr::Binary(BinaryOp::kLt, Col("salary"), Lit(int64_t{3000}))));
+  });
+  ASSERT_TRUE(t.result.ok());
+  std::vector<int64_t> ids;
+  for (const Tuple& row : *t.result) {
+    ids.push_back(row.at(0).int_value());
+    EXPECT_EQ(row.at(1), Value::String("eng"));
+  }
+  EXPECT_EQ(ids, (std::vector<int64_t>{1, 4, 7, 10, 16, 19}));
+}
+
+TEST_P(InPlaceScanTest, GroupExprErrorMidScanMatchesCopyingScan) {
+  // The group key 100 / (id - 14) fails on live row 14; rows before it
+  // evaluated the key and the SUM argument.
+  const ExecutionTrace t = ExpectSameAsCopying([](auto child) {
+    std::vector<std::unique_ptr<Expr>> groups;
+    groups.push_back(Expr::Binary(
+        BinaryOp::kDiv, Lit(int64_t{100}),
+        Expr::Binary(BinaryOp::kSub, Col("id"), Lit(int64_t{14}))));
+    std::vector<algebra::AggSpec> aggs;
+    aggs.push_back({AggFunc::kSum, Col("salary"), "total"});
+    return AggregatePlan::Create(std::move(child), std::move(groups), {"g"},
+                                 std::move(aggs));
+  });
+  EXPECT_EQ(t.result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(t.stats.expr_evaluations, 20u);  // 10 rows x (key + argument).
+}
+
+TEST_P(InPlaceScanTest, WildcardColumnMatchesCopyingScan) {
+  // A kNull-typed (wildcard) column holds boxed values of mixed types.
+  storage::Relation wild("wild", Schema({{"id", DataType::kInt64},
+                                         {"w", DataType::kNull}}));
+  for (int i = 0; i < 40; ++i) {
+    Value w;
+    switch (i % 4) {
+      case 0: w = Value::Int(i); break;
+      case 1: w = Value::String("s" + std::to_string(i)); break;
+      case 2: w = Value::Double(i * 0.5); break;
+      default: break;  // NULL.
+    }
+    wild.Insert(Tuple({Value::Int(i), std::move(w)})).value();
+  }
+  for (const storage::RowId row : {0, 1, 17, 39}) {
+    ASSERT_TRUE(wild.Delete(row).ok());
+  }
+  resolver_.Register("wild", &wild);
+  table_ = "wild";
+
+  const ExecutionTrace selected = ExpectSameAsCopying([](auto child) {
+    return SelectPlan::Create(
+        std::move(child),
+        Expr::Unary(algebra::UnaryOp::kNot,
+                    Expr::Unary(algebra::UnaryOp::kIsNull, Col("w"))));
+  });
+  ASSERT_TRUE(selected.result.ok());
+  EXPECT_EQ(selected.result->size(), 27u);  // 30 non-NULL minus 3 deleted.
+  for (const Tuple& row : *selected.result) EXPECT_FALSE(row.at(1).is_null());
+
+  const ExecutionTrace grouped = ExpectSameAsCopying([](auto child) {
+    std::vector<std::unique_ptr<Expr>> groups;
+    groups.push_back(Expr::Unary(algebra::UnaryOp::kIsNull, Col("w")));
+    std::vector<algebra::AggSpec> aggs;
+    aggs.push_back({AggFunc::kCount, nullptr, "n"});
+    return AggregatePlan::Create(std::move(child), std::move(groups), {"null"},
+                                 std::move(aggs));
+  });
+  ASSERT_TRUE(grouped.result.ok());
+  EXPECT_EQ(grouped.result->size(), 2u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     ExprModes, InPlaceScanTest,
     ::testing::Values(ExprMode::kCompiled, ExprMode::kInterpreted),
     [](const ::testing::TestParamInfo<ExprMode>& info) {
       return info.param == ExprMode::kCompiled ? "Compiled" : "Interpreted";
     });
+
+/// One 200k-row fragment (ROADMAP item 5 scale): a point select and a
+/// group-by read in place, in row and vectorized mode, must return the
+/// answers of the same plans over an Exchange pass-through, with the same
+/// stats and virtual charge.
+TEST(InPlaceScanScaleTest, TwoHundredThousandRowsMatchPassThrough) {
+  const Schema schema({{"id", DataType::kInt64},
+                       {"grp", DataType::kInt64},
+                       {"v", DataType::kInt64}});
+  storage::Relation item("item", schema);
+  constexpr int kRows = 200'000;
+  for (int i = 0; i < kRows; ++i) {
+    item.Insert(Tuple({Value::Int(i), Value::Int(i % 97),
+                       i % 11 == 0 ? Value::Null() : Value::Int(i % 1000)}))
+        .value();
+  }
+  // A sprinkle of tombstones, so some slices are gathered.
+  for (storage::RowId row = 5; row < kRows; row += 4099) {
+    ASSERT_TRUE(item.Delete(row).ok());
+  }
+  MapTableResolver resolver;
+  resolver.Register("item", &item);
+
+  auto point = [&](bool pass_through) {
+    std::unique_ptr<algebra::Plan> child = ScanPlan::Create("item", schema);
+    if (pass_through) {
+      child = algebra::ExchangePlan::Create(
+          std::move(child), algebra::ExchangePlan::Mode::kHashPartition, {0});
+    }
+    return SelectPlan::Create(
+               std::move(child),
+               Expr::Binary(BinaryOp::kEq, Col("id"), Lit(int64_t{123'457})))
+        .value();
+  };
+  auto group_by = [&](bool pass_through) {
+    std::unique_ptr<algebra::Plan> child = ScanPlan::Create("item", schema);
+    if (pass_through) {
+      child = algebra::ExchangePlan::Create(
+          std::move(child), algebra::ExchangePlan::Mode::kHashPartition, {0});
+    }
+    std::vector<std::unique_ptr<Expr>> groups;
+    groups.push_back(Col("grp"));
+    std::vector<algebra::AggSpec> aggs;
+    aggs.push_back({AggFunc::kCount, nullptr, "n"});
+    aggs.push_back({AggFunc::kSum, Col("v"), "total"});
+    return std::unique_ptr<algebra::Plan>(
+        AggregatePlan::Create(std::move(child), std::move(groups), {"grp"},
+                              std::move(aggs))
+            .value());
+  };
+  for (const ExecMode mode : {ExecMode::kRow, ExecMode::kVectorized}) {
+    for (int q = 0; q < 2; ++q) {
+      ExecOptions opts;
+      opts.exec_mode = mode;
+      Executor in_place(&resolver, opts);
+      Executor copying(&resolver, opts);
+      auto got = in_place.Execute(q == 0 ? *point(false) : *group_by(false));
+      auto want = copying.Execute(q == 0 ? *point(true) : *group_by(true));
+      ASSERT_TRUE(got.ok() && want.ok());
+      EXPECT_EQ(*got, *want) << ExecModeName(mode) << " query " << q;
+      EXPECT_EQ(in_place.stats().tuples_scanned, item.num_tuples());
+      EXPECT_EQ(in_place.stats().tuples_scanned,
+                copying.stats().tuples_scanned);
+      EXPECT_EQ(in_place.stats().expr_evaluations,
+                copying.stats().expr_evaluations);
+      EXPECT_EQ(in_place.stats().charged_ns, copying.stats().charged_ns);
+      if (q == 0) {
+        ASSERT_EQ(got->size(), 1u);
+        EXPECT_EQ(got->front().at(0), Value::Int(123'457));
+      } else {
+        EXPECT_EQ(got->size(), 97u);
+      }
+    }
+  }
+}
 
 /// Group-by probes the group map with one reused key tuple and allocates
 /// only for new groups. Row and vectorized modes must agree on rows,
