@@ -175,10 +175,9 @@ PrismaDb::PrismaDb(MachineConfig config)
     // traffic they trigger is).
     const pool::ProcessId client_pid = client_pid_;
     network_->SetFaultExempt([client_pid](const net::Message& message) {
-      const auto* mail =
-          std::any_cast<std::shared_ptr<pool::Mail>>(&message.payload);
+      const pool::Mail* mail = pool::Runtime::MailIn(message);
       if (mail == nullptr) return false;
-      return (*mail)->from == client_pid || (*mail)->to == client_pid;
+      return mail->from == client_pid || mail->to == client_pid;
     });
   }
   sim_.Run();  // Let OnStart handlers settle.

@@ -8,6 +8,7 @@
 #include "common/logging.h"
 #include "common/serialize.h"
 #include "common/str_util.h"
+#include "exec/expr_compiler.h"
 #include "exec/expr_eval.h"
 
 namespace prisma::exec {
@@ -189,23 +190,53 @@ Status Ofm::Update(TxnId txn, storage::RowId row, Tuple tuple) {
   return LogRedo(txn, EncodeDataRecord(kWalUpdate, txn, row, &after));
 }
 
+std::optional<std::vector<storage::RowId>> Ofm::MatchCompiled(
+    const algebra::Expr& predicate) const {
+  if (options_.exec.expr_mode != ExprMode::kCompiled) return std::nullopt;
+  StatusOr<CompiledExpr> compiled = CompileExpr(predicate);
+  if (!compiled.ok()) return std::nullopt;
+  std::vector<storage::RowId> matched;
+  std::vector<uint8_t> keep;
+  bool failed = false;
+  relation_.ScanSlices(
+      options_.exec.batch_rows, [&](std::span<const storage::RowId> rows,
+                                    std::span<const ColumnView> cols) {
+        if (!compiled->EvalPredicateBatch(cols, rows.size(), &keep).ok()) {
+          failed = true;
+          return false;
+        }
+        for (size_t r = 0; r < rows.size(); ++r) {
+          if (keep[r] != 0) matched.push_back(rows[r]);
+        }
+        return true;
+      });
+  if (failed) return std::nullopt;
+  return matched;
+}
+
 StatusOr<size_t> Ofm::DeleteWhere(TxnId txn, const algebra::Expr* predicate) {
   std::vector<storage::RowId> victims;
-  Status eval_status;
-  relation_.Scan([&](storage::RowId row, const Tuple& tuple) {
-    if (predicate == nullptr) {
-      victims.push_back(row);
+  std::optional<std::vector<storage::RowId>> matched;
+  if (predicate != nullptr) matched = MatchCompiled(*predicate);
+  if (matched.has_value()) {
+    victims = std::move(*matched);
+  } else {
+    Status eval_status;
+    relation_.Scan([&](storage::RowId row, const Tuple& tuple) {
+      if (predicate == nullptr) {
+        victims.push_back(row);
+        return true;
+      }
+      auto keep = EvalPredicate(*predicate, tuple);
+      if (!keep.ok()) {
+        eval_status = keep.status();
+        return false;
+      }
+      if (*keep) victims.push_back(row);
       return true;
-    }
-    auto keep = EvalPredicate(*predicate, tuple);
-    if (!keep.ok()) {
-      eval_status = keep.status();
-      return false;
-    }
-    if (*keep) victims.push_back(row);
-    return true;
-  });
-  RETURN_IF_ERROR(eval_status);
+    });
+    RETURN_IF_ERROR(eval_status);
+  }
   ChargeCpu(static_cast<sim::SimTime>(relation_.num_tuples()) *
             options_.exec.costs.tuple_ns);
   for (const storage::RowId row : victims) {
@@ -224,31 +255,38 @@ StatusOr<size_t> Ofm::UpdateWhere(
     if (expr == nullptr) return InvalidArgumentError("null assignment");
   }
   std::vector<std::pair<storage::RowId, Tuple>> updates;
-  Status eval_status;
-  relation_.Scan([&](storage::RowId row, const Tuple& tuple) {
-    bool matches = true;
-    if (predicate != nullptr) {
-      auto keep = EvalPredicate(*predicate, tuple);
-      if (!keep.ok()) {
-        eval_status = keep.status();
-        return false;
-      }
-      matches = *keep;
-    }
-    if (!matches) return true;
+  // SET over one matching row; the RHS sees the *old* tuple.
+  auto assign = [&](storage::RowId row, const Tuple& tuple) -> Status {
     Tuple updated = tuple;
     for (const auto& [col, expr] : assignments) {
-      auto v = EvalExpr(*expr, tuple);  // RHS sees the *old* tuple.
-      if (!v.ok()) {
-        eval_status = v.status();
-        return false;
-      }
-      updated.at(col) = std::move(v).value();
+      ASSIGN_OR_RETURN(updated.at(col), EvalExpr(*expr, tuple));
     }
     updates.push_back({row, std::move(updated)});
-    return true;
-  });
-  RETURN_IF_ERROR(eval_status);
+    return Status::OK();
+  };
+  std::optional<std::vector<storage::RowId>> matched;
+  if (predicate != nullptr) matched = MatchCompiled(*predicate);
+  if (matched.has_value()) {
+    for (const storage::RowId row : *matched) {
+      ASSIGN_OR_RETURN(Tuple tuple, relation_.Get(row));
+      RETURN_IF_ERROR(assign(row, tuple));
+    }
+  } else {
+    Status eval_status;
+    relation_.Scan([&](storage::RowId row, const Tuple& tuple) {
+      if (predicate != nullptr) {
+        auto keep = EvalPredicate(*predicate, tuple);
+        if (!keep.ok()) {
+          eval_status = keep.status();
+          return false;
+        }
+        if (!*keep) return true;
+      }
+      eval_status = assign(row, tuple);
+      return eval_status.ok();
+    });
+    RETURN_IF_ERROR(eval_status);
+  }
   ChargeCpu(static_cast<sim::SimTime>(relation_.num_tuples()) *
             options_.exec.costs.tuple_ns);
   for (auto& [row, tuple] : updates) {

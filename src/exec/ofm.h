@@ -253,6 +253,13 @@ class Ofm {
   Status ApplyWalData(uint8_t op, BinaryReader* reader);
   Status LogMarker(TxnId txn, uint8_t op);
   void ChargeCpu(sim::SimTime ns);
+  /// Live rows matching `predicate` in RowId order, found in compiled
+  /// expr mode by the compiled predicate's batch kernel over the stored
+  /// column slices. nullopt in interpreted mode, when the predicate does
+  /// not compile, or when a slice fails: the caller then runs its row
+  /// loop, which returns the interpreter's error text.
+  std::optional<std::vector<storage::RowId>> MatchCompiled(
+      const algebra::Expr& predicate) const;
 
   void IndexInsert(storage::RowId row, const Tuple& tuple);
   void IndexDelete(storage::RowId row, const Tuple& tuple);

@@ -55,6 +55,7 @@ void Network::AttachObservability(obs::MetricsRegistry* metrics,
     m_delivered_ = metrics->GetCounter("net.messages_delivered");
     m_link_bits_ = metrics->GetCounter("net.link_bits");
     m_packets_ = metrics->GetCounter("net.packets_sent");
+    m_hop_events_ = metrics->GetCounter("net.hop_events");
     m_latency_ = metrics->GetHistogram("net.latency_ns");
   }
   tracer_ = tracer;
@@ -78,22 +79,34 @@ void Network::Send(NodeId src, NodeId dst, int64_t size_bits,
   message.size_bits = size_bits;
   message.sent_at = sim_->now();
   message.payload = std::move(payload);
+  const uint32_t slot = Park(std::move(message));
   if (src == dst) {
-    sim_->Schedule(params_.local_delivery_ns,
-                   [this, message = std::move(message)]() mutable {
-                     Deliver(message.dst, std::move(message));
-                   });
+    sim_->Schedule(params_.local_delivery_ns, [this, slot]() {
+      Deliver(inflight_[slot].message.dst, slot);
+    });
     return;
   }
-  Arrive(src, std::move(message));
+  Arrive(src, slot);
 }
 
-void Network::Arrive(NodeId node, Message message) {
-  if (node == message.dst) {
-    Deliver(node, std::move(message));
+uint32_t Network::Park(Message message) {
+  const uint32_t slot = inflight_.Add();
+  inflight_[slot].message = std::move(message);
+  return slot;
+}
+
+void Network::Unpark(uint32_t slot) {
+  inflight_[slot].message.payload.reset();
+  inflight_.Free(slot);
+}
+
+void Network::Arrive(NodeId node, uint32_t slot) {
+  const NodeId dst = inflight_[slot].message.dst;
+  if (node == dst) {
+    Deliver(node, slot);
     return;
   }
-  const NodeId hop = topology_.NextHop(node, message.dst);
+  const NodeId hop = topology_.NextHop(node, dst);
   LinkState& l = link(node, hop);
   const sim::SimTime now = sim_->now();
 
@@ -109,6 +122,7 @@ void Network::Arrive(NodeId node, Message message) {
       if (obs::Counter* c = LazyCounter(&m_dropped_, "net.dropped")) {
         c->Increment();
       }
+      Unpark(slot);
       return;
     }
   }
@@ -117,7 +131,8 @@ void Network::Arrive(NodeId node, Message message) {
   // occupies the link; a duplicate re-enters this hop as a fresh arrival
   // (and redraws its own fate); jitter stretches the hop's latency.
   sim::SimTime jitter = 0;
-  if (faults_active_ && !(fault_exempt_ && fault_exempt_(message))) {
+  if (faults_active_ &&
+      !(fault_exempt_ && fault_exempt_(inflight_[slot].message))) {
     const LinkFault& fault = FaultFor(node, hop);
     if (LinkDown(node, hop, now) ||
         (fault.drop_probability > 0 &&
@@ -126,6 +141,7 @@ void Network::Arrive(NodeId node, Message message) {
       if (obs::Counter* c = LazyCounter(&m_dropped_, "net.dropped")) {
         c->Increment();
       }
+      Unpark(slot);
       return;
     }
     if (fault.duplicate_probability > 0 &&
@@ -134,10 +150,10 @@ void Network::Arrive(NodeId node, Message message) {
       if (obs::Counter* c = LazyCounter(&m_duplicated_, "net.duplicated")) {
         c->Increment();
       }
-      Message copy = message;
-      sim_->Schedule(0, [this, node, copy = std::move(copy)]() mutable {
-        Arrive(node, std::move(copy));
-      });
+      Message copy = inflight_[slot].message;
+      const uint32_t dup = Park(std::move(copy));
+      inflight_[dup].to = node;
+      sim_->Schedule(0, [this, dup]() { Arrive(inflight_[dup].to, dup); });
     }
     if (fault.max_extra_delay_ns > 0) {
       jitter = static_cast<sim::SimTime>(fault_rng_.Uniform(
@@ -149,8 +165,10 @@ void Network::Arrive(NodeId node, Message message) {
     }
   }
 
+  InFlight& parked = inflight_[slot];
+  const int64_t size_bits = parked.message.size_bits;
   const sim::SimTime serialization =
-      message.size_bits * sim::kNanosPerSecond / params_.bandwidth_bps;
+      size_bits * sim::kNanosPerSecond / params_.bandwidth_bps;
   const sim::SimTime depart = std::max(now, l.free_at);
   const sim::SimTime arrival =
       depart + serialization + params_.propagation_ns + jitter;
@@ -158,18 +176,25 @@ void Network::Arrive(NodeId node, Message message) {
   l.busy_ns += serialization;
   ++l.backlog;
   stats_.max_link_backlog = std::max(stats_.max_link_backlog, l.backlog);
-  stats_.link_bits += message.size_bits;
+  stats_.link_bits += size_bits;
   if (m_link_bits_ != nullptr) {
-    m_link_bits_->Increment(static_cast<uint64_t>(message.size_bits));
+    m_link_bits_->Increment(static_cast<uint64_t>(size_bits));
   }
-  sim_->ScheduleAt(arrival,
-                   [this, node, hop, message = std::move(message)]() mutable {
-                     --link(node, hop).backlog;
-                     Arrive(hop, std::move(message));
-                   });
+  parked.from = node;
+  parked.to = hop;
+  sim_->ScheduleAt(arrival, [this, slot]() {
+    const InFlight& p = inflight_[slot];
+    --link(p.from, p.to).backlog;
+    if (m_hop_events_ != nullptr) m_hop_events_->Increment();
+    Arrive(p.to, slot);
+  });
 }
 
-void Network::Deliver(NodeId node, Message message) {
+void Network::Deliver(NodeId node, uint32_t slot) {
+  // Moved out and freed before the upcall: the receiver may Send, which
+  // can grow (and so move) the slab.
+  Message message = std::move(inflight_[slot].message);
+  Unpark(slot);
   if (!receivers_[node]) {
     // The addressee has no endpoint (crashed or never installed): account
     // for it instead of silently discarding.

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/slab.h"
 #include "net/topology.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -202,8 +203,9 @@ class Network {
 
   /// Mirrors transport statistics into the machine-wide registry
   /// (net.messages_sent, net.messages_delivered, net.link_bits,
-  /// net.latency_ns histogram) and, when the tracer is enabled, records a
-  /// send->deliver span per message. Either pointer may be null.
+  /// net.hop_events, net.latency_ns histogram) and, when the tracer is
+  /// enabled, records a send->deliver span per message. Either pointer may
+  /// be null.
   void AttachObservability(obs::MetricsRegistry* metrics,
                            obs::Tracer* tracer);
 
@@ -221,9 +223,28 @@ class Network {
     return links_[static_cast<size_t>(from) * topology_.num_nodes() + to];
   }
 
-  /// Message is at `node` at the current sim time; forward or deliver.
-  void Arrive(NodeId node, Message message);
-  void Deliver(NodeId node, Message message);
+  /// A message parked from Send until Deliver. Events on the message's
+  /// path capture only {this, slot}, which std::function stores inline,
+  /// so forwarding a message allocates nothing.
+  struct InFlight {
+    Message message;
+    /// Hop events: the link being crossed. A duplicate's event reads only
+    /// `to`, the node where the copy re-enters.
+    NodeId from = 0;
+    NodeId to = 0;
+  };
+
+  /// Parks `message` in a free slot and returns the slot. Invalidates
+  /// references into inflight_.
+  uint32_t Park(Message message);
+  /// Frees `slot`, dropping the payload it still holds.
+  void Unpark(uint32_t slot);
+
+  /// The message in `slot` is at `node` at the current sim time; forward
+  /// or deliver it.
+  void Arrive(NodeId node, uint32_t slot);
+  /// Frees `slot` and hands its message to `node`'s receiver.
+  void Deliver(NodeId node, uint32_t slot);
 
   const LinkFault& FaultFor(NodeId from, NodeId to) const;
   bool LinkDown(NodeId from, NodeId to, sim::SimTime now) const;
@@ -240,6 +261,7 @@ class Network {
   std::vector<std::vector<sim::SimTime>> delivery_times_;
   bool record_deliveries_ = false;
   Stats stats_;
+  Slab<InFlight> inflight_;
 
   FaultPlan fault_plan_;
   bool faults_active_ = false;
@@ -252,6 +274,7 @@ class Network {
   obs::Counter* m_delivered_ = nullptr;
   obs::Counter* m_link_bits_ = nullptr;
   obs::Counter* m_packets_ = nullptr;
+  obs::Counter* m_hop_events_ = nullptr;
   obs::Histogram* m_latency_ = nullptr;
   // Fault/backpressure counters, registered lazily on first event.
   obs::Counter* m_dropped_ = nullptr;

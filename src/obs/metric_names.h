@@ -47,6 +47,7 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "net.delayed_ns",
     "net.dropped",
     "net.duplicated",
+    "net.hop_events",
     "net.link_bits",
     "net.messages_delivered",
     "net.messages_sent",
@@ -69,6 +70,7 @@ inline constexpr const char* kRegisteredMetricNames[] = {
     "olap.shuffle_bits",
     "pe.cpu_ns",
     "pe.crashes",
+    "pool.handler_requeues",
     "pool.handlers_executed",
     "pool.mail_bits",
     "pool.mail_dropped",

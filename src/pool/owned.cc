@@ -21,11 +21,10 @@ ViolationHandler SetOwnershipViolationHandler(ViolationHandler handler) {
   return previous;
 }
 
-void ReportViolation(ProcessId owner, const std::string& owner_name,
-                     const std::string& what) {
+void ReportViolation(ProcessId owner, const std::string& what) {
   std::string message =
       what + " owned by process " + std::to_string(owner) + " (" +
-      owner_name + ") accessed from handler of process " +
+      CurrentProcess::NameOf(owner) + ") accessed from handler of process " +
       std::to_string(CurrentProcess::id()) + " (" + CurrentProcess::name() +
       ") — POOL-X processes share no memory; exchange state through Mail";
   g_handler(message);

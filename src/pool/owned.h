@@ -12,41 +12,63 @@ namespace prisma::pool {
 using ProcessId = int64_t;
 constexpr ProcessId kNoProcess = -1;
 
+/// Resolves a process id to its diagnostic name; implemented by the
+/// runtime that runs the handlers.
+class ProcessNames {
+ public:
+  /// The process's debug_name(), or "dead-process" once it is gone.
+  virtual std::string NameOf(ProcessId id) const = 0;
+
+ protected:
+  ~ProcessNames() = default;
+};
+
 /// The process whose handler is currently executing — the cooperative
 /// simulation's answer to "which thread am I on". Maintained by
 /// Runtime::ExecuteHandler; kNoProcess between events (control-plane code
 /// in tests and benches runs there).
+///
+/// A handler frame records only the id and the runtime's name directory:
+/// names are built when a diagnostic asks for one, so entering a frame
+/// costs no string, and a process killed inside its own handler reads as
+/// "dead-process" instead of leaving a pointer to freed state behind.
 ///
 /// The simulation is single-threaded by design (see the TSan CI job), so
 /// plain statics suffice.
 class CurrentProcess {
  public:
   static ProcessId id() { return id_; }
-  static const std::string& name() { return name_; }
+  /// Name of the running process ("" outside handlers).
+  static std::string name() { return NameOf(id_); }
+  /// Name of any process, resolved through the running handler's runtime
+  /// ("" outside handlers).
+  static std::string NameOf(ProcessId id) {
+    return names_ != nullptr ? names_->NameOf(id) : std::string();
+  }
 
   /// RAII frame entered by the runtime around every handler.
   class Scope {
    public:
-    Scope(ProcessId id, std::string name)
-        : prev_id_(id_), prev_name_(std::move(name_)) {
+    Scope(ProcessId id, const ProcessNames* names)
+        : prev_id_(id_), prev_names_(names_) {
       id_ = id;
-      name_ = std::move(name);
+      names_ = names;
     }
     ~Scope() {
       id_ = prev_id_;
-      name_ = std::move(prev_name_);
+      names_ = prev_names_;
     }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
    private:
     ProcessId prev_id_;
-    std::string prev_name_;
+    const ProcessNames* prev_names_;
   };
 
  private:
   static inline ProcessId id_ = kNoProcess;
-  static inline std::string name_;
+  static inline const ProcessNames* names_ = nullptr;
 };
 
 namespace internal_owned {
@@ -55,8 +77,7 @@ namespace internal_owned {
 /// itself testable without death tests.
 using ViolationHandler = void (*)(const std::string& message);
 ViolationHandler SetOwnershipViolationHandler(ViolationHandler handler);
-void ReportViolation(ProcessId owner, const std::string& owner_name,
-                     const std::string& what);
+void ReportViolation(ProcessId owner, const std::string& what);
 
 /// Shared owner-binding logic of Owned<T> / OwnedPtr<T>: the first access
 /// from inside a handler adopts the running process as owner; later
@@ -73,12 +94,9 @@ class OwnershipCell {
       // Process members are constructed before the process is spawned, so
       // binding happens on the owner's first OnStart/OnMail access.
       owner_ = current;
-      owner_name_ = CurrentProcess::name();
       return;
     }
-    if (owner_ != current) {
-      ReportViolation(owner_, owner_name_, "Owned<> state");
-    }
+    if (owner_ != current) ReportViolation(owner_, "Owned<> state");
 #endif
   }
 
@@ -93,7 +111,6 @@ class OwnershipCell {
  private:
 #ifndef PRISMA_NO_OWNERSHIP_CHECKS
   mutable ProcessId owner_ = kNoProcess;
-  mutable std::string owner_name_;
 #endif
 };
 }  // namespace internal_owned

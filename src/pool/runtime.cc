@@ -22,12 +22,13 @@ void Process::SendMail(ProcessId to, std::string kind, std::any body,
 sim::EventId Process::SendSelfAfter(sim::SimTime delay, std::string kind,
                                     std::any body) {
   PRISMA_CHECK(runtime_ != nullptr) << "process not attached";
-  auto mail = std::make_shared<Mail>();
-  mail->from = id_;
-  mail->to = id_;
-  mail->kind = std::move(kind);
-  mail->body = std::move(body);
-  mail->size_bits = 0;
+  Mail timer;
+  timer.from = id_;
+  timer.to = id_;
+  timer.kind = std::move(kind);
+  timer.body = std::move(body);
+  timer.size_bits = 0;
+  Runtime::MailRef mail(std::move(timer));
   Runtime* rt = runtime_;
   return rt->simulator()->Schedule(delay,
                                    [rt, mail]() { rt->MailArrived(mail); });
@@ -51,8 +52,7 @@ Runtime::Runtime(sim::Simulator* sim, net::Network* network, CostModel costs)
   const int n = network_->topology().num_nodes();
   for (net::NodeId node = 0; node < n; ++node) {
     network_->SetReceiver(node, [this](const net::Message& message) {
-      auto mail = std::any_cast<std::shared_ptr<Mail>>(message.payload);
-      MailArrived(std::move(mail));
+      MailArrived(*std::any_cast<MailRef>(&message.payload));
     });
   }
 }
@@ -64,6 +64,7 @@ void Runtime::AttachObservability(obs::MetricsRegistry* metrics,
   if (metrics != nullptr) {
     m_handlers_ = metrics->GetCounter("pool.handlers_executed");
     m_dropped_ = metrics->GetCounter("pool.mail_dropped");
+    m_requeues_ = metrics->GetCounter("pool.handler_requeues");
     m_pe_cpu_.clear();
     const int n = network_->topology().num_nodes();
     for (net::NodeId pe = 0; pe < n; ++pe) {
@@ -84,24 +85,25 @@ ProcessId Runtime::Spawn(net::NodeId pe, std::unique_ptr<Process> process) {
   // Liveness is checked again when the body runs: a busy PE defers it, and
   // a Kill or CrashPe in between destroys the process.
   sim_->Schedule(0, [this, pe, id]() {
-    if (!IsAlive(id)) return;
-    ExecuteHandler(pe, "spawn", id, [this, id]() {
-      auto it = processes_.find(id);
-      if (it == processes_.end()) return;
-      handler_charged_ns_ += costs_.spawn_ns;
-      it->second->OnStart();
-    });
+    if (IsAlive(id)) ExecuteHandler(pe, id, MailRef());
   });
   return id;
+}
+
+std::string Runtime::NameOf(ProcessId id) const {
+  auto it = processes_.find(id);
+  return it != processes_.end() ? it->second->debug_name() : "dead-process";
 }
 
 void Runtime::Kill(ProcessId id) { processes_.erase(id); }
 
 size_t Runtime::CrashPe(net::NodeId pe) {
   std::vector<ProcessId> victims;
+  // prisma-lint: ordered - the victims are sorted before anything uses them.
   for (const auto& [id, process] : processes_) {
     if (process->pe_ == pe) victims.push_back(id);
   }
+  std::sort(victims.begin(), victims.end());
   for (const ProcessId id : victims) Kill(id);
   ++pe_crashes_;
   if (metrics_ != nullptr) {
@@ -119,19 +121,16 @@ net::NodeId Runtime::PeOf(ProcessId id) const {
 
 void Runtime::Send(Mail mail) {
   if (metrics_ != nullptr) {
-    auto [it, inserted] = m_mail_kind_.try_emplace(mail.kind, nullptr);
+    auto [it, inserted] = m_mail_kind_.try_emplace(mail.kind);
+    KindCounters& counters = it->second;
     if (inserted) {
-      it->second =
+      counters.sent =
           metrics_->GetCounter("pool.mail_sent", {{"kind", mail.kind}});
-    }
-    it->second->Increment();
-    auto [bits_it, bits_inserted] =
-        m_mail_bits_.try_emplace(mail.kind, nullptr);
-    if (bits_inserted) {
-      bits_it->second =
+      counters.bits =
           metrics_->GetCounter("pool.mail_bits", {{"kind", mail.kind}});
     }
-    bits_it->second->Increment(
+    counters.sent->Increment();
+    counters.bits->Increment(
         static_cast<uint64_t>(std::max<int64_t>(mail.size_bits, 1)));
   }
   if (in_handler_) {
@@ -139,10 +138,15 @@ void Runtime::Send(Mail mail) {
     deferred_sends_.push_back(std::move(mail));
     return;
   }
-  DispatchMail(std::make_shared<Mail>(std::move(mail)));
+  DispatchMail(MailRef(std::move(mail)));
 }
 
-void Runtime::DispatchMail(const std::shared_ptr<Mail>& mail) {
+const Mail* Runtime::MailIn(const net::Message& message) {
+  const auto* mail = std::any_cast<MailRef>(&message.payload);
+  return mail != nullptr ? &**mail : nullptr;
+}
+
+void Runtime::DispatchMail(MailRef mail) {
   auto it = processes_.find(mail->to);
   if (it == processes_.end()) {
     ++dropped_mail_;
@@ -153,10 +157,11 @@ void Runtime::DispatchMail(const std::shared_ptr<Mail>& mail) {
   net::NodeId src_pe = dst_pe;
   auto from_it = processes_.find(mail->from);
   if (from_it != processes_.end()) src_pe = from_it->second->pe_;
-  network_->Send(src_pe, dst_pe, std::max<int64_t>(mail->size_bits, 1), mail);
+  const int64_t size_bits = std::max<int64_t>(mail->size_bits, 1);
+  network_->Send(src_pe, dst_pe, size_bits, std::move(mail));
 }
 
-void Runtime::MailArrived(std::shared_ptr<Mail> mail) {
+void Runtime::MailArrived(MailRef mail) {
   auto it = processes_.find(mail->to);
   if (it == processes_.end()) {
     ++dropped_mail_;
@@ -164,27 +169,22 @@ void Runtime::MailArrived(std::shared_ptr<Mail> mail) {
     return;
   }
   const net::NodeId pe = it->second->pe_;
-  ExecuteHandler(pe, mail->kind, mail->to, [this, mail]() {
-    auto it2 = processes_.find(mail->to);
-    if (it2 == processes_.end()) {
-      ++dropped_mail_;
-      if (m_dropped_ != nullptr) m_dropped_->Increment();
-      return;
-    }
-    handler_charged_ns_ += costs_.message_handling_ns;
-    it2->second->OnMail(*mail);
-  });
+  const ProcessId tid = mail->to;
+  ExecuteHandler(pe, tid, std::move(mail));
 }
 
-void Runtime::ExecuteHandler(net::NodeId pe, std::string name, ProcessId tid,
-                             const std::function<void()>& body) {
+void Runtime::ExecuteHandler(net::NodeId pe, ProcessId tid, MailRef mail) {
   const sim::SimTime now = sim_->now();
   if (pe_cpu_free_at_[pe] > now) {
     // The PE is busy with an earlier handler; retry when it frees up.
-    sim_->ScheduleAt(pe_cpu_free_at_[pe],
-                     [this, pe, name = std::move(name), tid, body]() {
-                       ExecuteHandler(pe, std::move(name), tid, body);
-                     });
+    if (m_requeues_ != nullptr) m_requeues_->Increment();
+    const uint32_t slot = parked_jobs_.Add();
+    parked_jobs_[slot] = HandlerJob{pe, tid, std::move(mail)};
+    sim_->ScheduleAt(pe_cpu_free_at_[pe], [this, slot]() {
+      HandlerJob job = std::move(parked_jobs_[slot]);
+      parked_jobs_.Free(slot);
+      ExecuteHandler(job.pe, job.tid, std::move(job.mail));
+    });
     return;
   }
   PRISMA_CHECK(!in_handler_) << "nested handler execution";
@@ -194,17 +194,24 @@ void Runtime::ExecuteHandler(net::NodeId pe, std::string name, ProcessId tid,
   {
     // Ownership checker: while the handler runs, Owned<> accesses are
     // attributed to (and checked against) this process.
-    auto owner = processes_.find(tid);
-    CurrentProcess::Scope scope(
-        tid, owner != processes_.end() ? owner->second->debug_name()
-                                       : "dead-process");
-    body();
+    CurrentProcess::Scope scope(tid, this);
+    auto it = processes_.find(tid);
+    if (!mail) {
+      if (it != processes_.end()) {
+        handler_charged_ns_ += costs_.spawn_ns;
+        it->second->OnStart();
+      }
+    } else if (it == processes_.end()) {
+      ++dropped_mail_;
+      if (m_dropped_ != nullptr) m_dropped_->Increment();
+    } else {
+      handler_charged_ns_ += costs_.message_handling_ns;
+      it->second->OnMail(*mail);
+    }
   }
   const sim::SimTime charged = handler_charged_ns_;
-  std::vector<Mail> sends = std::move(deferred_sends_);
   in_handler_ = false;
   handler_charged_ns_ = 0;
-  deferred_sends_.clear();
 
   pe_cpu_free_at_[pe] = now + charged;
   pe_busy_ns_[pe] += charged;
@@ -213,15 +220,24 @@ void Runtime::ExecuteHandler(net::NodeId pe, std::string name, ProcessId tid,
     m_pe_cpu_[pe]->Increment(static_cast<uint64_t>(charged));
   }
   if (tracer_ != nullptr && tracer_->enabled()) {
-    tracer_->Span("pool", name, now, now + charged, pe, tid);
+    tracer_->Span("pool", mail ? std::string_view(mail->kind)
+                               : std::string_view("spawn"),
+                  now, now + charged, pe, tid);
   }
-  if (sends.empty()) return;
-  auto release = std::make_shared<std::vector<Mail>>(std::move(sends));
-  sim_->Schedule(charged, [this, release]() {
-    for (Mail& m : *release) {
-      DispatchMail(std::make_shared<Mail>(std::move(m)));
-    }
-  });
+  if (deferred_sends_.empty()) return;
+  // The batch moves into a parked slot; deferred_sends_ takes that slot's
+  // empty vector, so both keep their capacity.
+  const uint32_t slot = releases_.Add();
+  releases_[slot].swap(deferred_sends_);
+  sim_->Schedule(charged, [this, slot]() { ReleaseSends(slot); });
+}
+
+void Runtime::ReleaseSends(uint32_t slot) {
+  // DispatchMail runs no handler, so nothing parks a batch under the loop.
+  std::vector<Mail>& batch = releases_[slot];
+  for (Mail& m : batch) DispatchMail(MailRef(std::move(m)));
+  batch.clear();
+  releases_.Free(slot);
 }
 
 }  // namespace prisma::pool

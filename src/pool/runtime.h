@@ -3,12 +3,13 @@
 
 #include <any>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "common/slab.h"
 #include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -123,7 +124,7 @@ class Process {
 
 /// The POOL-X runtime: owns all processes, binds them to PEs, and moves
 /// their messages over the simulated interconnect.
-class Runtime {
+class Runtime : private ProcessNames {
  public:
   Runtime(sim::Simulator* sim, net::Network* network, CostModel costs = {});
 
@@ -160,10 +161,14 @@ class Runtime {
   /// Total messages dropped because the target process was dead.
   uint64_t dropped_mail() const { return dropped_mail_; }
 
+  /// The mail a network message carries, or null if it carries none.
+  static const Mail* MailIn(const net::Message& message);
+
   /// Mirrors runtime activity into the registry (pool.handlers_executed,
-  /// pool.mail_sent{kind}, pool.mail_dropped, pe.cpu_ns{pe}) and, when the
-  /// tracer is enabled, records one span per executed handler (pid = PE,
-  /// tid = process id, name = mail kind). Either pointer may be null.
+  /// pool.handler_requeues, pool.mail_sent{kind}, pool.mail_dropped,
+  /// pe.cpu_ns{pe}) and, when the tracer is enabled, records one span per
+  /// executed handler (pid = PE, tid = process id, name = mail kind).
+  /// Either pointer may be null.
   void AttachObservability(obs::MetricsRegistry* metrics,
                            obs::Tracer* tracer);
 
@@ -176,26 +181,74 @@ class Runtime {
  private:
   friend class Process;
 
+  /// Shared, immutable handle of a mail in flight. It is one pointer
+  /// wide, so std::any (the network payload) holds it inline where a
+  /// std::shared_ptr would take a heap block of its own. The count is not
+  /// atomic: the simulation is single-threaded.
+  class MailRef {
+   public:
+    MailRef() = default;
+    explicit MailRef(Mail mail) : box_(new Box{std::move(mail), 1}) {}
+    MailRef(const MailRef& other) noexcept : box_(other.box_) {
+      if (box_ != nullptr) ++box_->refs;
+    }
+    MailRef(MailRef&& other) noexcept
+        : box_(std::exchange(other.box_, nullptr)) {}
+    MailRef& operator=(MailRef other) noexcept {
+      std::swap(box_, other.box_);
+      return *this;
+    }
+    ~MailRef() {
+      if (box_ != nullptr && --box_->refs == 0) delete box_;
+    }
+
+    explicit operator bool() const { return box_ != nullptr; }
+    const Mail& operator*() const { return box_->mail; }
+    const Mail* operator->() const { return &box_->mail; }
+
+   private:
+    struct Box {
+      Mail mail;
+      uint64_t refs;
+    };
+    Box* box_ = nullptr;
+  };
+
+  /// A handler waiting for its PE: delivery of `mail` to `tid`, or the
+  /// start of process `tid` when `mail` is null.
+  struct HandlerJob {
+    net::NodeId pe = 0;
+    ProcessId tid = kNoProcess;
+    MailRef mail;
+  };
+
+  std::string NameOf(ProcessId id) const override;
+
   /// Mail has arrived at its destination PE; queue handler execution
   /// behind the PE's CPU.
-  void MailArrived(std::shared_ptr<Mail> mail);
+  void MailArrived(MailRef mail);
 
   /// Runs one handler at the current instant, accounting charged CPU and
-  /// releasing deferred sends at handler completion. `name` and `tid`
-  /// label the handler's trace span (mail kind / destination process).
-  void ExecuteHandler(net::NodeId pe, std::string name, ProcessId tid,
-                      const std::function<void()>& body);
+  /// releasing deferred sends at handler completion; requeues it behind
+  /// the PE's CPU while that is busy. The trace span is labelled with the
+  /// mail kind ("spawn" for a start) on the lane of process `tid`.
+  void ExecuteHandler(net::NodeId pe, ProcessId tid, MailRef mail);
 
-  void DispatchMail(const std::shared_ptr<Mail>& mail);
+  /// Dispatches the sends a finished handler deferred (parked in
+  /// releases_[slot]) and frees the slot.
+  void ReleaseSends(uint32_t slot);
+
+  void DispatchMail(MailRef mail);
 
   sim::Simulator* sim_;
   net::Network* network_;
   CostModel costs_;
 
   ProcessId next_id_ = 1;
-  /// Ordered by id so whole-PE sweeps (CrashPe) visit processes in a
-  /// deterministic order.
-  std::map<ProcessId, std::unique_ptr<Process>> processes_;
+  /// Hashed: every mail looks its sender and addressee up here. Sweeps
+  /// over it (CrashPe) sort what they collect, so their order stays
+  /// deterministic.
+  std::unordered_map<ProcessId, std::unique_ptr<Process>> processes_;
 
   std::vector<sim::SimTime> pe_cpu_free_at_;
   std::vector<sim::SimTime> pe_busy_ns_;
@@ -205,6 +258,11 @@ class Runtime {
   sim::SimTime handler_charged_ns_ = 0;
   std::vector<Mail> deferred_sends_;
 
+  // Requeued handlers and released send batches, parked until their
+  // events run.
+  Slab<HandlerJob> parked_jobs_;
+  Slab<std::vector<Mail>> releases_;
+
   uint64_t dropped_mail_ = 0;
   uint64_t pe_crashes_ = 0;
 
@@ -213,12 +271,17 @@ class Runtime {
   obs::Tracer* tracer_ = nullptr;
   obs::Counter* m_handlers_ = nullptr;
   obs::Counter* m_dropped_ = nullptr;
+  obs::Counter* m_requeues_ = nullptr;
   std::vector<obs::Counter*> m_pe_cpu_;  // pe.cpu_ns{pe}, indexed by PE.
-  std::unordered_map<std::string, obs::Counter*> m_mail_kind_;
-  /// pool.mail_bits{kind}: modelled wire bits per mail kind. This is what
-  /// makes reply payloads (e.g. exec_plan_reply tuples) attributable in
-  /// traffic accounting — net.link_bits is a single per-hop total.
-  std::unordered_map<std::string, obs::Counter*> m_mail_bits_;
+  /// Per mail kind: pool.mail_sent{kind}, and pool.mail_bits{kind}, the
+  /// modelled wire bits. The latter is what makes reply payloads (e.g.
+  /// exec_plan_reply tuples) attributable in traffic accounting —
+  /// net.link_bits is a single per-hop total.
+  struct KindCounters {
+    obs::Counter* sent = nullptr;
+    obs::Counter* bits = nullptr;
+  };
+  std::unordered_map<std::string, KindCounters> m_mail_kind_;
 };
 
 }  // namespace prisma::pool

@@ -9,24 +9,46 @@ namespace prisma::sim {
 EventId Simulator::ScheduleAt(SimTime time, std::function<void()> fn) {
   PRISMA_CHECK(time >= now_) << "cannot schedule into the past: " << time
                              << " < " << now_;
-  if (free_slots_.empty()) {
-    PRISMA_CHECK(slots_.size() < UINT32_MAX) << "event slab exhausted";
-    free_slots_.push_back(static_cast<uint32_t>(slots_.size()));
-    slots_.emplace_back();
-  }
-  const uint32_t slot = free_slots_.back();
-  free_slots_.pop_back();
+  const uint32_t slot = slots_.Add();
   slots_[slot].fn = std::move(fn);
-  queue_.push_back(Event{time, next_seq_++, slot});
-  std::push_heap(queue_.begin(), queue_.end(), EventLater());
+  Push(Event{time, next_seq_++, slot});
   return static_cast<EventId>(slots_[slot].generation) << 32 | slot;
 }
 
+void Simulator::Push(const Event& ev) {
+  size_t i = queue_.size();
+  queue_.push_back(ev);
+  while (i > 0) {
+    const size_t parent = (i - 1) / 4;
+    if (!Before(ev, queue_[parent])) break;
+    queue_[i] = queue_[parent];
+    i = parent;
+  }
+  queue_[i] = ev;
+}
+
 Simulator::Event Simulator::PopNext() {
-  std::pop_heap(queue_.begin(), queue_.end(), EventLater());
-  const Event ev = queue_.back();
+  const Event top = queue_.front();
+  const Event last = queue_.back();
   queue_.pop_back();
-  return ev;
+  const size_t n = queue_.size();
+  if (n == 0) return top;
+  // Sift the former last entry down from the root.
+  size_t i = 0;
+  while (true) {
+    const size_t first = 4 * i + 1;
+    if (first >= n) break;
+    const size_t end = std::min(first + 4, n);
+    size_t best = first;
+    for (size_t c = first + 1; c < end; ++c) {
+      if (Before(queue_[c], queue_[best])) best = c;
+    }
+    if (!Before(queue_[best], last)) break;
+    queue_[i] = queue_[best];
+    i = best;
+  }
+  queue_[i] = last;
+  return top;
 }
 
 std::function<void()> Simulator::Release(uint32_t slot) {
@@ -39,7 +61,7 @@ std::function<void()> Simulator::Release(uint32_t slot) {
     ++events_cancelled_;
   }
   if (++s.generation == 0) s.generation = 1;  // 0 stays unissued.
-  free_slots_.push_back(slot);
+  slots_.Free(slot);
   return fn;
 }
 

@@ -5,6 +5,8 @@
 #include <functional>
 #include <vector>
 
+#include "common/slab.h"
+
 namespace prisma::sim {
 
 /// Virtual time in nanoseconds since simulation start.
@@ -97,14 +99,11 @@ class Simulator {
     uint64_t seq;
     uint32_t slot;
   };
-  // Max-heap comparator inverted: the vector is kept as a min-heap on
-  // (time, seq) via std::push_heap/pop_heap.
-  struct EventLater {
-    bool operator()(const Event& a, const Event& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
+  /// Heap order: (time, seq). Sequence numbers are unique, so the order
+  /// is total and any correct heap pops events in the same order.
+  static bool Before(const Event& a, const Event& b) {
+    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+  }
   /// Storage of one pending event. A slot is recycled once its event runs
   /// or its tombstone is popped; the generation bump on release makes
   /// every handle to the old occupant stale.
@@ -114,6 +113,10 @@ class Simulator {
     bool cancelled = false;
   };
 
+  /// 4-ary min-heap primitives over queue_ (children of i are 4i+1..4i+4):
+  /// half the depth of a binary heap, and a node's children share one or
+  /// two cache lines.
+  void Push(const Event& ev);
   Event PopNext();
   /// Recycles `slot`, consuming its tombstone if it was cancelled, and
   /// returns its callback.
@@ -127,9 +130,8 @@ class Simulator {
   uint64_t cancel_requests_ = 0;
   uint64_t events_cancelled_ = 0;
   size_t tombstones_ = 0;
-  std::vector<Event> queue_;  // Heap ordered by EventLater.
-  std::vector<Slot> slots_;
-  std::vector<uint32_t> free_slots_;
+  std::vector<Event> queue_;  // 4-ary min-heap ordered by Before.
+  Slab<Slot> slots_;
 };
 
 }  // namespace prisma::sim

@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "net/network.h"
+#include "obs/metrics.h"
 #include "net/topology.h"
 #include "net/traffic.h"
 #include "sim/simulator.h"
@@ -436,6 +441,96 @@ TEST(NetworkTest, MissingReceiverIsCountedNotSilent) {
   sim.Run();
   EXPECT_EQ(net.stats().no_receiver, 1u);
   EXPECT_EQ(net.stats().messages_delivered, 0u);
+}
+
+TEST(NetworkTest, EachHopIsOneHopEvent) {
+  sim::Simulator sim;
+  Network net(&sim, Topology::Ring(8));
+  obs::MetricsRegistry metrics;
+  net.AttachObservability(&metrics, nullptr);
+  net.SetReceiver(3, [](const Message&) {});
+  ASSERT_EQ(net.topology().Distance(0, 3), 3);
+  net.SendPacket(0, 3);
+  sim.Run();
+  EXPECT_EQ(metrics.GetCounter("net.hop_events")->value(), 3u);
+  net.SendPacket(3, 3);  // Loopback crosses no link.
+  sim.Run();
+  EXPECT_EQ(metrics.GetCounter("net.hop_events")->value(), 3u);
+  EXPECT_EQ(net.stats().messages_delivered, 2u);
+}
+
+// Every way a message can leave the network (delivery, a fault drop, a
+// backlog shed, a node without a receiver, a duplicate's own end) must
+// release the payload it carried.
+TEST(NetworkTest, EveryPayloadIsReleasedOnceTheNetworkDrains) {
+  sim::Simulator sim;
+  LinkParams params;
+  params.max_link_backlog = 3;
+  params.drop_on_backlog = true;
+  Network net(&sim, Topology::Mesh(3, 3), params);
+  FaultPlan plan;
+  plan.seed = 5;
+  plan.link.drop_probability = 0.3;
+  plan.link.duplicate_probability = 0.3;
+  plan.link.max_extra_delay_ns = 20'000;
+  net.SetFaultPlan(plan);
+  int delivered = 0;
+  // Node 8 has no receiver; the others count their deliveries.
+  for (NodeId node = 0; node < 8; ++node) {
+    net.SetReceiver(node, [&](const Message& m) {
+      ++delivered;
+      EXPECT_NE(std::any_cast<std::shared_ptr<int>>(&m.payload), nullptr);
+    });
+  }
+  auto sentinel = std::make_shared<int>(7);
+  Rng rng(99);
+  for (int i = 0; i < 400; ++i) {
+    const auto src = static_cast<NodeId>(rng.Uniform(9));
+    const auto dst = static_cast<NodeId>(rng.Uniform(9));
+    net.Send(src, dst, 256 * static_cast<int64_t>(1 + rng.Uniform(8)),
+             sentinel);
+  }
+  EXPECT_GT(sentinel.use_count(), 1);
+  sim.Run();
+  EXPECT_GT(delivered, 0);
+  EXPECT_GT(net.stats().dropped, 0u);
+  EXPECT_GT(net.stats().duplicated, 0u);
+  EXPECT_GT(net.stats().backpressure, 0u);
+  EXPECT_GT(net.stats().no_receiver, 0u);
+  EXPECT_EQ(sentinel.use_count(), 1);
+  EXPECT_EQ(net.TotalBacklog(), 0);
+}
+
+// A receiver that sends while it is being called grows the in-flight
+// slab under the delivery that is running.
+TEST(NetworkTest, SendsFromInsideAnUpcallAreAllDelivered) {
+  sim::Simulator sim;
+  Network net(&sim, Topology::Mesh(2, 2));
+  constexpr int kBurst = 1000;
+  using Seen = std::tuple<NodeId, NodeId, int64_t, int>;
+  std::vector<Seen> seen;
+  // Payload -1 triggers the burst from inside node 1's upcall; every
+  // other message is recorded where it lands (node 1 included, through
+  // loopback).
+  for (NodeId node = 0; node < 4; ++node) {
+    net.SetReceiver(node, [&](const Message& m) {
+      const int tag = std::any_cast<int>(m.payload);
+      if (tag >= 0) {
+        seen.emplace_back(m.src, m.dst, m.size_bits, tag);
+        return;
+      }
+      for (int i = 0; i < kBurst; ++i) net.Send(m.dst, i % 4, 1 + i, i);
+    });
+  }
+  net.Send(0, 1, 256, -1);
+  sim.Run();
+  ASSERT_EQ(seen.size(), static_cast<size_t>(kBurst));
+  std::sort(seen.begin(), seen.end(), [](const Seen& a, const Seen& b) {
+    return std::get<3>(a) < std::get<3>(b);
+  });
+  for (int i = 0; i < kBurst; ++i) {
+    EXPECT_EQ(seen[i], Seen(1, i % 4, 1 + i, i));
+  }
 }
 
 }  // namespace

@@ -1,9 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "algebra/expr.h"
 #include "algebra/plan.h"
+#include "common/rng.h"
 #include "exec/ofm.h"
 #include "storage/stable_store.h"
 
@@ -16,6 +21,7 @@ using algebra::Expr;
 using algebra::Lit;
 using algebra::ScanPlan;
 using algebra::SelectPlan;
+using algebra::UnaryOp;
 
 Schema AcctSchema() {
   return Schema({{"id", DataType::kInt64},
@@ -313,6 +319,206 @@ TEST_F(OfmTest, CursorWithMarkings) {
   while (cursor.Next().has_value()) {
   }
   EXPECT_FALSE(cursor.Next().has_value());
+}
+
+// ------------------------------------------- UPDATE/DELETE WHERE, two modes
+
+constexpr const char* kStrings[] = {"s0", "s1", "s2", "s3"};
+
+/// Random expressions over (k INT, a INT, b DOUBLE, s STRING), all
+/// nullable. Divisions by `a` fail on rows where a = 0, so some predicates
+/// and SET clauses fail on some live rows, and some only on tombstones.
+class WriteWhereGen {
+ public:
+  explicit WriteWhereGen(Rng* rng) : rng_(*rng) {}
+
+  std::unique_ptr<Expr> Predicate(int depth = 0) {
+    const uint64_t pick = rng_.Uniform(depth >= 2 ? 4 : 7);
+    if (pick == 4 || pick == 5) {
+      return Expr::Binary(pick == 4 ? BinaryOp::kAnd : BinaryOp::kOr,
+                          Predicate(depth + 1), Predicate(depth + 1));
+    }
+    if (pick == 6) return Expr::Unary(UnaryOp::kNot, Predicate(depth + 1));
+    if (pick == 3) return Expr::Unary(UnaryOp::kIsNull, Col(Column()));
+    static constexpr BinaryOp kCmp[] = {BinaryOp::kEq, BinaryOp::kNe,
+                                        BinaryOp::kLt, BinaryOp::kLe,
+                                        BinaryOp::kGt, BinaryOp::kGe};
+    const BinaryOp op = kCmp[rng_.Uniform(6)];
+    if (rng_.Uniform(5) == 0) {
+      return Expr::Binary(op, Col("s"), Lit(Str()));
+    }
+    return Expr::Binary(op, Numeric(), Numeric());
+  }
+
+  /// One to three SET clauses as (column index, expression).
+  std::vector<std::pair<size_t, std::unique_ptr<Expr>>> Assignments() {
+    std::vector<std::pair<size_t, std::unique_ptr<Expr>>> out;
+    const uint64_t n = 1 + rng_.Uniform(3);
+    for (uint64_t i = 0; i < n; ++i) {
+      switch (rng_.Uniform(4)) {
+        case 0:
+          out.emplace_back(1, Expr::Binary(BinaryOp::kAdd, Col("a"),
+                                           Lit(int64_t{1})));
+          break;
+        case 1:
+          out.emplace_back(1, Expr::Binary(BinaryOp::kDiv, Lit(int64_t{60}),
+                                           Col("a")));
+          break;
+        case 2:
+          out.emplace_back(2, Expr::Binary(BinaryOp::kMul, Col("b"),
+                                           Lit(2.5)));
+          break;
+        default:
+          out.emplace_back(3, Lit(Str()));
+          break;
+      }
+    }
+    return out;
+  }
+
+ private:
+  std::string Str() { return kStrings[rng_.Uniform(4)]; }
+
+  std::string Column() {
+    static const char* kCols[] = {"k", "a", "b", "s"};
+    return kCols[rng_.Uniform(4)];
+  }
+
+  std::unique_ptr<Expr> Numeric() {
+    switch (rng_.Uniform(6)) {
+      case 0:
+        return Col("k");
+      case 1:
+        return Col("a");
+      case 2:
+        return Col("b");
+      case 3:
+        return Expr::Binary(BinaryOp::kDiv, Lit(int64_t{100}), Col("a"));
+      case 4:
+        return Expr::Binary(BinaryOp::kAdd, Col("k"), Col("a"));
+      default:
+        return Lit(static_cast<int64_t>(rng_.Uniform(12)) - 2);
+    }
+  }
+
+  Rng& rng_;
+};
+
+Schema WriteWhereSchema() {
+  return Schema({{"k", DataType::kInt64},
+                 {"a", DataType::kInt64},
+                 {"b", DataType::kDouble},
+                 {"s", DataType::kString}});
+}
+
+/// One fragment under test: its OFM, stable store and charge log.
+struct ModeRig {
+  explicit ModeRig(ExprMode mode) {
+    Ofm::Options opts;
+    opts.stable = &stable;
+    opts.exec.expr_mode = mode;
+    // Small slices, so a fragment spans several and tombstones fall
+    // inside some of them.
+    opts.exec.batch_rows = 16;
+    opts.exec.charge = [this](sim::SimTime ns) { charges.push_back(ns); };
+    ofm = std::make_unique<Ofm>("w#0", WriteWhereSchema(), opts);
+  }
+
+  std::vector<std::string> Slots() const {
+    std::vector<std::string> out;
+    ofm->relation().ScanSlots([&](storage::RowId, const Tuple* t) {
+      out.push_back(t == nullptr ? "-" : t->ToString());
+    });
+    return out;
+  }
+
+  storage::StableStore stable;
+  std::vector<sim::SimTime> charges;
+  std::unique_ptr<Ofm> ofm;
+};
+
+TEST(OfmWriteWhereDiffTest, CompiledAndInterpretedChangeTheSameRows) {
+  const Schema schema = WriteWhereSchema();
+  int failures = 0;
+  int matched = 0;
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    WriteWhereGen gen(&rng);
+    ModeRig compiled(ExprMode::kCompiled);
+    ModeRig interpreted(ExprMode::kInterpreted);
+    auto maybe_null = [&](Value v) {
+      return rng.Uniform(7) == 0 ? Value::Null() : std::move(v);
+    };
+    const uint64_t rows = 20 + rng.Uniform(120);
+    for (uint64_t i = 0; i < rows; ++i) {
+      const auto a = static_cast<int64_t>(rng.Uniform(6));
+      const double b = static_cast<double>(rng.Uniform(50)) / 4;
+      const std::string s = kStrings[rng.Uniform(4)];
+      Tuple t({Value::Int(static_cast<int64_t>(i)),
+               maybe_null(Value::Int(a)), maybe_null(Value::Double(b)),
+               maybe_null(Value::String(s))});
+      ASSERT_TRUE(compiled.ofm->Insert(kAutoCommit, t).ok());
+      ASSERT_TRUE(interpreted.ofm->Insert(kAutoCommit, std::move(t)).ok());
+    }
+    // Tombstones, including every row of some slices.
+    for (uint64_t i = 0; i < rows; ++i) {
+      if (rng.Uniform(4) != 0 && !(i >= 32 && i < 48)) continue;
+      ASSERT_TRUE(compiled.ofm->Delete(kAutoCommit, i).ok());
+      ASSERT_TRUE(interpreted.ofm->Delete(kAutoCommit, i).ok());
+    }
+    for (int stmt = 0; stmt < 8; ++stmt) {
+      SCOPED_TRACE("statement " + std::to_string(stmt));
+      std::unique_ptr<Expr> pred;
+      if (rng.Uniform(8) != 0) {
+        pred = gen.Predicate();
+        if (!pred->Bind(schema).ok()) continue;  // Ill-typed draw.
+      }
+      const TxnId txn = rng.Uniform(2) == 0 ? kAutoCommit : 100 + stmt;
+      StatusOr<size_t> got = InternalError("unset");
+      StatusOr<size_t> want = InternalError("unset");
+      if (rng.Uniform(3) == 0) {
+        got = compiled.ofm->DeleteWhere(txn, pred.get());
+        want = interpreted.ofm->DeleteWhere(txn, pred.get());
+      } else {
+        auto owned = gen.Assignments();
+        std::vector<std::pair<size_t, const Expr*>> sets;
+        bool bound = true;
+        for (auto& [col, expr] : owned) {
+          bound = bound && expr->Bind(schema).ok();
+          sets.emplace_back(col, expr.get());
+        }
+        if (!bound) continue;
+        got = compiled.ofm->UpdateWhere(txn, pred.get(), sets);
+        want = interpreted.ofm->UpdateWhere(txn, pred.get(), sets);
+      }
+      ASSERT_EQ(got.status(), want.status());
+      if (got.ok()) {
+        ASSERT_EQ(*got, *want);
+        matched += static_cast<int>(*got);
+      } else {
+        ++failures;
+      }
+      if (txn != kAutoCommit) {
+        const bool commit = got.ok() && rng.Uniform(2) == 0;
+        for (ModeRig* rig : {&compiled, &interpreted}) {
+          if (commit) {
+            ASSERT_TRUE(rig->ofm->Prepare(txn).ok());
+            ASSERT_TRUE(rig->ofm->Commit(txn).ok());
+          } else {
+            ASSERT_TRUE(rig->ofm->Abort(txn).ok());
+          }
+        }
+      }
+      ASSERT_EQ(compiled.Slots(), interpreted.Slots());
+      ASSERT_EQ(compiled.stable.ReadStream("w#0.wal"),
+                interpreted.stable.ReadStream("w#0.wal"));
+      ASSERT_EQ(compiled.charges, interpreted.charges);
+    }
+  }
+  // The draws reach both outcomes: rows changed, and statements failing.
+  EXPECT_GT(matched, 0);
+  EXPECT_GT(failures, 0);
 }
 
 }  // namespace

@@ -362,6 +362,44 @@ TEST_F(PoolTest, OwnedBindsToFirstHandlerThatTouchesIt) {
   EXPECT_EQ(ViolationCapture::messages().size(), 1u);
 }
 
+/// Kills itself inside its own handler, then touches another process's
+/// state from the same (now orphaned) frame.
+class SelfKiller : public Process {
+ public:
+  explicit SelfKiller(StatefulProcess* victim) : victim_(victim) {}
+  std::string debug_name() const override { return "self-killer"; }
+  void OnStart() override {
+    // Nothing of `this` may be touched after Kill: copy what is needed.
+    Owned<int>& counter = victim_->counter();
+    runtime()->Kill(self());
+    ++*counter;
+  }
+  void OnMail(const Mail&) override {}
+
+ private:
+  StatefulProcess* victim_;
+};
+
+TEST_F(PoolTest, ViolationFromAKilledProcessNamesItDead) {
+  ViolationCapture capture;
+  auto victim = std::make_unique<StatefulProcess>();
+  StatefulProcess* raw = victim.get();
+  runtime_.Spawn(0, std::move(victim));
+  sim_.Run();
+  const ProcessId killer =
+      runtime_.Spawn(1, std::make_unique<SelfKiller>(raw));
+  sim_.Run();
+  EXPECT_FALSE(runtime_.IsAlive(killer));
+  ASSERT_EQ(ViolationCapture::messages().size(), 1u);
+  const std::string& message = ViolationCapture::messages()[0];
+  EXPECT_NE(message.find("(stateful)"), std::string::npos) << message;
+  EXPECT_NE(message.find("process " + std::to_string(killer) +
+                         " (dead-process)"),
+            std::string::npos)
+      << message;
+  EXPECT_EQ(message.find("self-killer"), std::string::npos) << message;
+}
+
 // ---------------------------------------------------------- Retransmission
 
 constexpr sim::SimTime kMs = sim::kNanosPerMilli;
