@@ -30,6 +30,33 @@ void ColumnView::LoadBoxedOrString(size_t row, Value* dst) const {
   }
 }
 
+bool ColumnView::EqualsAt(size_t row, const Value& v) const {
+  if (boxed) return values[row].Compare(v) == 0;
+  if (nulls[row] != 0 || type == DataType::kNull) return v.is_null();
+  // Value::Compare's numeric rule: equal unless one is less (so NaN
+  // equals every number, as there).
+  auto same_number = [](double a, double b) { return !(a < b) && !(b < a); };
+  switch (v.type()) {
+    case DataType::kNull:
+      return false;
+    case DataType::kBool:
+      return type == DataType::kBool && (bools[row] != 0) == v.bool_value();
+    case DataType::kInt64:
+      if (type == DataType::kInt64) return ints[row] == v.int_value();
+      return type == DataType::kDouble &&
+             same_number(doubles[row], v.AsDouble());
+    case DataType::kDouble:
+      if (type == DataType::kInt64) {
+        return same_number(static_cast<double>(ints[row]), v.double_value());
+      }
+      return type == DataType::kDouble &&
+             same_number(doubles[row], v.double_value());
+    case DataType::kString:
+      return type == DataType::kString && strings[row] == v.string_value();
+  }
+  return false;
+}
+
 Tuple RowOfViews(std::span<const ColumnView> columns, size_t row) {
   std::vector<Value> values;
   values.reserve(columns.size());

@@ -45,6 +45,24 @@ struct ColumnView {
     }
   }
 
+  /// ValueAt(row).Hash(), without boxing.
+  uint64_t HashAt(size_t row) const {
+    if (boxed) return values[row].Hash();
+    if (nulls[row] != 0 || type == DataType::kNull) return Value::HashNull();
+    switch (type) {
+      case DataType::kInt64:
+        return Value::HashInt(ints[row]);
+      case DataType::kDouble:
+        return Value::HashDouble(doubles[row]);
+      case DataType::kString:
+        return Value::HashString(strings[row]);
+      default:
+        return Value::HashBool(bools[row] != 0);
+    }
+  }
+  /// ValueAt(row).Compare(v) == 0, without boxing.
+  bool EqualsAt(size_t row, const Value& v) const;
+
  private:
   void LoadBoxedOrString(size_t row, Value* dst) const;
 };

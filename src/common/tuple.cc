@@ -32,7 +32,7 @@ int Tuple::Compare(const Tuple& other) const {
 }
 
 uint64_t Tuple::Hash() const {
-  uint64_t h = 0x505249534d41ULL;  // "PRISMA"
+  uint64_t h = kTupleHashSeed;
   for (const Value& v : values_) h = CombineHashes(h, v.Hash());
   return h;
 }
@@ -54,7 +54,7 @@ std::string Tuple::ToString() const {
 }
 
 uint64_t HashTupleColumns(const Tuple& tuple, const std::vector<size_t>& columns) {
-  uint64_t h = 0x4f464dULL;  // "OFM"
+  uint64_t h = kHashTupleColumnsSeed;
   for (size_t c : columns) h = CombineHashes(h, tuple.at(c).Hash());
   return h;
 }

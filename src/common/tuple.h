@@ -56,6 +56,9 @@ uint64_t CombineTupleHash(uint64_t seed, uint64_t h);
 /// Seed of HashTupleColumns; start here when combining incrementally.
 inline constexpr uint64_t kHashTupleColumnsSeed = 0x4f464dULL;  // "OFM"
 
+/// Seed of Tuple::Hash, likewise.
+inline constexpr uint64_t kTupleHashSeed = 0x505249534d41ULL;  // "PRISMA"
+
 }  // namespace prisma
 
 #endif  // PRISMA_COMMON_TUPLE_H_

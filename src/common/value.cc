@@ -9,22 +9,14 @@
 namespace prisma {
 namespace {
 
-// 64-bit mix of SplitMix64; good avalanche for hash table use.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 uint64_t HashBytes(const char* data, size_t n) {
-  // FNV-1a, then a final mix.
+  // FNV-1a; the caller mixes the result.
   uint64_t h = 0xcbf29ce484222325ULL;
   for (size_t i = 0; i < n; ++i) {
     h ^= static_cast<unsigned char>(data[i]);
     h *= 0x100000001b3ULL;
   }
-  return Mix64(h);
+  return h;
 }
 
 int CompareDoubles(double a, double b) {
@@ -106,26 +98,32 @@ int Value::Compare(const Value& other) const {
 uint64_t Value::Hash() const {
   switch (type()) {
     case DataType::kNull:
-      return Mix64(0x6e756c6cULL);
+      return HashNull();
     case DataType::kBool:
-      return Mix64(bool_value() ? 2 : 1);
+      return HashBool(bool_value());
     case DataType::kInt64:
-      return Mix64(static_cast<uint64_t>(int_value()));
-    case DataType::kDouble: {
-      const double d = double_value();
-      // Integral doubles must hash like the equal INT value.
-      if (d >= -9.2e18 && d <= 9.2e18 && d == std::floor(d)) {
-        return Mix64(static_cast<uint64_t>(static_cast<int64_t>(d)));
-      }
-      uint64_t bits;
-      static_assert(sizeof(bits) == sizeof(d));
-      std::memcpy(&bits, &d, sizeof(bits));
-      return Mix64(bits);
-    }
+      return HashInt(int_value());
+    case DataType::kDouble:
+      return HashDouble(double_value());
     case DataType::kString:
-      return HashBytes(string_value().data(), string_value().size());
+      return HashString(string_value());
   }
   return 0;
+}
+
+uint64_t Value::HashDouble(double d) {
+  // Integral doubles must hash like the equal INT value.
+  if (d >= -9.2e18 && d <= 9.2e18 && d == std::floor(d)) {
+    return HashInt(static_cast<int64_t>(d));
+  }
+  uint64_t bits;
+  static_assert(sizeof(bits) == sizeof(d));
+  std::memcpy(&bits, &d, sizeof(bits));
+  return Mix64(bits);
+}
+
+uint64_t Value::HashString(std::string_view v) {
+  return Mix64(HashBytes(v.data(), v.size()));
 }
 
 std::string Value::ToString() const {

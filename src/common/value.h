@@ -87,8 +87,16 @@ class Value {
   bool operator<(const Value& other) const { return Compare(other) < 0; }
 
   /// Stable 64-bit hash (equal values hash equal, including INT/DOUBLE
-  /// values that compare equal).
+  /// values that compare equal within +-2^53).
   uint64_t Hash() const;
+
+  /// The hash Hash() gives a value of each type, for column kernels that
+  /// hash typed arrays without boxing.
+  static uint64_t HashNull() { return Mix64(0x6e756c6cULL); }
+  static uint64_t HashBool(bool v) { return Mix64(v ? 2 : 1); }
+  static uint64_t HashInt(int64_t v) { return Mix64(static_cast<uint64_t>(v)); }
+  static uint64_t HashDouble(double v);
+  static uint64_t HashString(std::string_view v);
 
   /// Renders the value for result printing ("NULL", "42", "'abc'").
   std::string ToString() const;
@@ -109,6 +117,14 @@ class Value {
 
   explicit Value(Rep rep) : rep_(std::move(rep)) {}
   [[noreturn]] static void CorruptVariant();
+
+  // 64-bit mix of SplitMix64; good avalanche for hash table use.
+  static uint64_t Mix64(uint64_t x) {
+    x += 0x9e3779b97f4a7c15ULL;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+    return x ^ (x >> 31);
+  }
 
   template <typename T>
   void AssignAlternative(T v) {

@@ -1,6 +1,7 @@
 #include "exec/exchange.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/logging.h"
 
@@ -69,23 +70,24 @@ OutboundChannel::OutboundChannel(std::vector<Tuple> tuples, size_t batch_rows,
   PRISMA_CHECK(window > 0);
   size_t i = 0;
   do {
-    TupleBatch batch;
-    batch.seq = batches_.size() + 1;
     const size_t end = std::min(tuples.size(), i + batch_rows);
-    for (; i < end; ++i) batch.tuples.push_back(std::move(tuples[i]));
-    batch.eos = i >= tuples.size();
-    batches_.push_back(std::move(batch));
+    auto rows = std::make_shared<std::vector<Tuple>>(
+        std::make_move_iterator(tuples.begin() + static_cast<ptrdiff_t>(i)),
+        std::make_move_iterator(tuples.begin() + static_cast<ptrdiff_t>(end)));
+    i = end;
+    batches_.push_back({batches_.size() + 1, i >= tuples.size(),
+                        std::move(rows)});
   } while (i < tuples.size());
 }
 
-const TupleBatch* OutboundChannel::TakeNextToSend() {
+const OutboundBatch* OutboundChannel::TakeNextToSend() {
   if (next_unsent() == 0 || Stalled()) return nullptr;
-  const TupleBatch* batch = &batches_[next_send_ - 1];
+  const OutboundBatch* batch = &batches_[next_send_ - 1];
   ++next_send_;
   return batch;
 }
 
-const TupleBatch* OutboundChannel::BatchAt(uint64_t seq) const {
+const OutboundBatch* OutboundChannel::BatchAt(uint64_t seq) const {
   if (seq == 0 || seq > batches_.size()) return nullptr;
   return &batches_[seq - 1];
 }

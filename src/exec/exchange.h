@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -21,6 +22,15 @@ struct TupleBatch {
   uint64_t seq = 0;
   bool eos = false;
   std::vector<Tuple> tuples;
+};
+
+/// A framed batch on the sending side: the rows are shared, so every
+/// transmission of the batch (first send and retransmissions) can point at
+/// them instead of copying.
+struct OutboundBatch {
+  uint64_t seq = 0;
+  bool eos = false;
+  std::shared_ptr<const std::vector<Tuple>> tuples;  // Never null.
 };
 
 /// Receiver side of one exchange channel: reorders out-of-order batches,
@@ -114,11 +124,11 @@ class OutboundChannel {
 
   /// Hands out the next unsent in-window batch and advances the send
   /// cursor; null when drained or stalled.
-  const TupleBatch* TakeNextToSend();
+  const OutboundBatch* TakeNextToSend();
 
   /// The batch with sequence `seq` (for retransmission); null if out of
   /// range.
-  const TupleBatch* BatchAt(uint64_t seq) const;
+  const OutboundBatch* BatchAt(uint64_t seq) const;
 
   /// Applies a cumulative ack; returns true if the window advanced.
   bool OnAck(uint64_t ack);
@@ -129,7 +139,7 @@ class OutboundChannel {
 
   /// The lowest unacknowledged batch if already sent, else null: what a
   /// retransmission resends (repairing a lost batch or a lost ack).
-  const TupleBatch* Unacked() const {
+  const OutboundBatch* Unacked() const {
     return Sent(acked_ + 1) ? BatchAt(acked_ + 1) : nullptr;
   }
 
@@ -148,7 +158,7 @@ class OutboundChannel {
   bool done() const { return acked_ >= last_seq(); }
 
  private:
-  std::vector<TupleBatch> batches_;  // Batch with seq s lives at index s-1.
+  std::vector<OutboundBatch> batches_;  // Seq s lives at index s-1.
   uint64_t window_;
   uint64_t acked_ = 0;
   uint64_t next_send_ = 1;  // Seq of the next first-transmission.

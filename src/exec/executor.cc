@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <set>
 #include <utility>
 
 #include "common/logging.h"
@@ -603,16 +602,96 @@ StatusOr<std::vector<Tuple>> Executor::RunUnion(const Plan& plan) {
   return left;
 }
 
+namespace {
+
+/// Dense ids 0, 1, 2, ... of distinct keys, in the order they were added,
+/// indexed by hash: open addressing with linear probing over (hash, id)
+/// slots, grown to keep at most half of them full. The caller keeps the
+/// key of each id and decides equality; a probe is compared only with ids
+/// stored under the same 64-bit hash, so keys that compare equal must hash
+/// equal (Value::Hash within +-2^53; DESIGN.md §12.4). This is the group
+/// table of GroupBy and the row set of Distinct and Difference.
+class KeyTable {
+ public:
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  size_t size() const { return size_; }
+
+  /// The id stored under `hash` whose key `equal(id)` accepts, or kAbsent.
+  template <typename Equal>
+  uint32_t Find(uint64_t hash, const Equal& equal) const {
+    if (slots_.empty()) return kAbsent;
+    for (size_t i = hash & mask_;; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kAbsent) return kAbsent;
+      if (slot.hash == hash && equal(slot.id)) return slot.id;
+    }
+  }
+
+  /// Find, but an absent key is added as id size(); `*added` says which.
+  template <typename Equal>
+  uint32_t FindOrAdd(uint64_t hash, const Equal& equal, bool* added) {
+    if ((size_ + 1) * 2 > slots_.size()) Grow();
+    size_t i = hash & mask_;
+    for (;; i = (i + 1) & mask_) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kAbsent) break;
+      if (slot.hash == hash && equal(slot.id)) {
+        *added = false;
+        return slot.id;
+      }
+    }
+    const auto id = static_cast<uint32_t>(size_++);
+    slots_[i] = Slot{hash, id};
+    *added = true;
+    return id;
+  }
+
+ private:
+  struct Slot {
+    uint64_t hash = 0;
+    uint32_t id = kAbsent;
+  };
+
+  void Grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(std::max<size_t>(16, old.size() * 2), Slot{});
+    mask_ = slots_.size() - 1;
+    for (const Slot& slot : old) {
+      if (slot.id == kAbsent) continue;
+      size_t i = slot.hash & mask_;
+      while (slots_[i].id != kAbsent) i = (i + 1) & mask_;
+      slots_[i] = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;  // Power-of-two size.
+  size_t mask_ = 0;
+  size_t size_ = 0;
+};
+
+}  // namespace
+
 StatusOr<std::vector<Tuple>> Executor::RunDifference(const Plan& plan) {
   ASSIGN_OR_RETURN(std::vector<Tuple> left, RunChildRows(*plan.child(0)));
   ASSIGN_OR_RETURN(std::vector<Tuple> right, RunChildRows(*plan.child(1)));
   // Anti-semi by whole-tuple equality; left duplicates surviving together.
-  std::set<Tuple> reject(right.begin(), right.end());
+  KeyTable table;
+  std::vector<const Tuple*> reject;  // By id: the distinct right rows.
+  for (const Tuple& t : right) {
+    bool added = false;
+    table.FindOrAdd(
+        t.Hash(), [&](uint32_t id) { return *reject[id] == t; }, &added);
+    if (added) reject.push_back(&t);
+  }
   Charge(static_cast<sim::SimTime>(left.size() + right.size()) *
          options_.costs.hash_ns);
   std::vector<Tuple> out;
   for (Tuple& t : left) {
-    if (!reject.contains(t)) out.push_back(std::move(t));
+    if (table.Find(t.Hash(), [&](uint32_t id) { return *reject[id] == t; }) ==
+        KeyTable::kAbsent) {
+      out.push_back(std::move(t));
+    }
   }
   return out;
 }
@@ -620,10 +699,14 @@ StatusOr<std::vector<Tuple>> Executor::RunDifference(const Plan& plan) {
 StatusOr<std::vector<Tuple>> Executor::RunDistinct(const Plan& plan) {
   ASSIGN_OR_RETURN(std::vector<Tuple> in, RunChildRows(*plan.child()));
   Charge(static_cast<sim::SimTime>(in.size()) * options_.costs.hash_ns);
-  std::set<Tuple> seen;
+  // The first occurrence of each row, in input order; ids index `out`.
+  KeyTable seen;
   std::vector<Tuple> out;
   for (Tuple& t : in) {
-    if (seen.insert(t).second) out.push_back(std::move(t));
+    bool added = false;
+    seen.FindOrAdd(
+        t.Hash(), [&](uint32_t id) { return out[id] == t; }, &added);
+    if (added) out.push_back(std::move(t));
   }
   return out;
 }
@@ -652,11 +735,9 @@ struct AggState {
       case AggFunc::kSum:
       case AggFunc::kAvg:
         if (v.type() == DataType::kDouble) {
-          sum_is_double = true;
-          sum_d += v.double_value();
+          AddDouble(v.double_value());
         } else {
-          sum_i += v.int_value();
-          sum_d += static_cast<double>(v.int_value());
+          AddInt(v.int_value());
         }
         break;
       case AggFunc::kMin:
@@ -666,6 +747,16 @@ struct AggState {
         if (!max.has_value() || *max < v) max = v;
         break;
     }
+  }
+  /// The SUM/AVG fold of one non-null INT or DOUBLE input (Add minus the
+  /// count), for the typed column loops.
+  void AddInt(int64_t v) {
+    sum_i += v;
+    sum_d += static_cast<double>(v);
+  }
+  void AddDouble(double v) {
+    sum_is_double = true;
+    sum_d += v;
   }
 
   Value Result(AggFunc func, DataType out_type) const {
@@ -690,15 +781,14 @@ struct AggState {
   }
 };
 
-using GroupMap = std::map<Tuple, std::vector<AggState>>;
-
 }  // namespace
 
-/// The group map of one Aggregate plus its prepared key and argument
+/// The groups of one Aggregate plus its prepared key and argument
 /// expressions. Rows arrive one at a time (AddRow, the row loop) or as
 /// column windows (AddColumns: the vectorized operator, and the row-mode
-/// operator over a fragment read in place). std::map keeps the output in
-/// group order, so both feeds produce the same rows.
+/// operator over a fragment read in place). Groups live in first-seen
+/// order in a KeyTable; Finish sorts them by key, so both feeds produce
+/// the rows, in the order, of an ordered map keyed by the first key seen.
 class Executor::GroupBy {
  public:
   static StatusOr<GroupBy> Make(const AggregatePlan& plan,
@@ -744,14 +834,19 @@ class Executor::GroupBy {
       ASSIGN_OR_RETURN(key_.at(k), keys_[k].Eval(row));
       ++*evaluations;
     }
-    auto it = FindOrAddGroup(key_);
+    bool added = false;
+    const uint32_t group = table_.FindOrAdd(
+        key_.Hash(), [&](uint32_t g) { return group_keys_[g] == key_; },
+        &added);
+    if (added) AddGroup(key_);
+    AggState* states = &states_[group * args_.size()];
     for (size_t i = 0; i < args_.size(); ++i) {
       Value v;
       if (args_[i].has_value()) {
         ASSIGN_OR_RETURN(v, args_[i]->Eval(row));
         ++*evaluations;
       }
-      it->second[i].Add(v, plan_.aggs()[i].func, !args_[i].has_value());
+      states[i].Add(v, plan_.aggs()[i].func, !args_[i].has_value());
     }
     return Status::OK();
   }
@@ -772,39 +867,33 @@ class Executor::GroupBy {
           replay_evaluations != nullptr ? replay_evaluations : &ignored));
       return status;
     }
-    Value v;
-    for (size_t r = 0; r < rows; ++r) {
-      for (size_t k = 0; k < keys_.size(); ++k) {
-        key_cols_[k].LoadInto(r, &key_.at(k));
-      }
-      auto it = FindOrAddGroup(key_);
-      for (size_t i = 0; i < args_.size(); ++i) {
-        if (args_[i].has_value()) {
-          arg_cols_[i].LoadInto(r, &v);
-        } else {
-          v.AssignNull();
-        }
-        it->second[i].Add(v, plan_.aggs()[i].func, !args_[i].has_value());
-      }
-    }
+    FindGroups(rows);
+    for (size_t i = 0; i < args_.size(); ++i) FoldColumn(i, rows);
     return Status::OK();
   }
 
-  /// One row per group, in group order; a grand total (no GROUP BY)
-  /// always emits exactly one row.
+  /// One row per group, in key order; a grand total (no GROUP BY) always
+  /// emits exactly one row.
   std::vector<Tuple> Finish() {
-    if (groups_.empty() && plan_.group_by().empty()) {
-      groups_.try_emplace(Tuple(),
-                          std::vector<AggState>(plan_.aggs().size()));
-    }
+    if (group_keys_.empty() && plan_.group_by().empty()) AddGroup(Tuple());
+    // stable_sort stays in bounds even if NaN keys break the strict weak
+    // order; within the DESIGN §12.4 contract no two keys tie.
+    std::vector<uint32_t> order(group_keys_.size());
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+      return group_keys_[a] < group_keys_[b];
+    });
     std::vector<Tuple> out;
-    out.reserve(groups_.size());
-    const size_t num_groups = plan_.group_by().size();
-    for (const auto& [key, states] : groups_) {
-      std::vector<Value> row = key.values();
-      for (size_t i = 0; i < states.size(); ++i) {
-        row.push_back(states[i].Result(
-            plan_.aggs()[i].func, plan_.schema().column(num_groups + i).type));
+    out.reserve(order.size());
+    const size_t num_keys = plan_.group_by().size();
+    for (const uint32_t group : order) {
+      const std::vector<Value>& key = group_keys_[group].values();
+      std::vector<Value> row;
+      row.reserve(key.size() + args_.size());
+      row.insert(row.end(), key.begin(), key.end());
+      for (size_t i = 0; i < args_.size(); ++i) {
+        row.push_back(states_[group * args_.size() + i].Result(
+            plan_.aggs()[i].func, plan_.schema().column(num_keys + i).type));
       }
       out.push_back(Tuple(std::move(row)));
     }
@@ -814,16 +903,78 @@ class Executor::GroupBy {
  private:
   explicit GroupBy(const AggregatePlan& plan) : plan_(plan) {}
 
-  /// The group of `key`, inserted with fresh states when new. Probing with
-  /// the reused key means only a new group allocates (a key copy and its
-  /// states), not every input row.
-  GroupMap::iterator FindOrAddGroup(const Tuple& key) {
-    auto it = groups_.lower_bound(key);
-    if (it == groups_.end() || key < it->first) {
-      it = groups_.emplace_hint(it, key,
-                                std::vector<AggState>(plan_.aggs().size()));
+  /// Appends a group keyed by `key`, with fresh states.
+  void AddGroup(Tuple key) {
+    group_keys_.push_back(std::move(key));
+    states_.resize(states_.size() + args_.size());
+  }
+
+  /// Sets group_ids_[r] to the group of row r of the evaluated key
+  /// columns, adding new groups in row order. Keys are hashed and compared
+  /// straight from the columns; only a row that starts a group is boxed.
+  void FindGroups(size_t rows) {
+    hashes_.assign(rows, kTupleHashSeed);
+    for (const ColumnView& col : key_cols_) {
+      for (size_t r = 0; r < rows; ++r) {
+        hashes_[r] = CombineTupleHash(hashes_[r], col.HashAt(r));
+      }
     }
-    return it;
+    group_ids_.resize(rows);
+    for (size_t r = 0; r < rows; ++r) {
+      auto equal = [&](uint32_t g) {
+        const Tuple& key = group_keys_[g];
+        for (size_t k = 0; k < key_cols_.size(); ++k) {
+          if (!key_cols_[k].EqualsAt(r, key.at(k))) return false;
+        }
+        return true;
+      };
+      bool added = false;
+      group_ids_[r] = table_.FindOrAdd(hashes_[r], equal, &added);
+      if (added) AddGroup(RowOfViews(key_cols_, r));
+    }
+  }
+
+  /// Folds aggregate `i` over the slice, row by row into each row's group,
+  /// so every group sees its inputs in row order (DOUBLE sums stay
+  /// bit-identical to AddRow's). COUNT(*), and COUNT/SUM/AVG over a typed
+  /// INT or DOUBLE column, update the states from the typed arrays; the
+  /// rest boxes each input into AggState::Add.
+  void FoldColumn(size_t i, size_t rows) {
+    const AggFunc func = plan_.aggs()[i].func;
+    const size_t stride = args_.size();
+    AggState* base = states_.data() + i;
+    auto state = [&](size_t r) -> AggState& {
+      return base[group_ids_[r] * stride];
+    };
+    if (!args_[i].has_value()) {
+      for (size_t r = 0; r < rows; ++r) ++state(r).count;
+      return;
+    }
+    const ColumnView& col = arg_cols_[i];
+    const bool numeric =
+        col.type == DataType::kInt64 || col.type == DataType::kDouble;
+    const bool typed = !col.boxed && numeric &&
+                       (func == AggFunc::kCount || func == AggFunc::kSum ||
+                        func == AggFunc::kAvg);
+    if (!typed) {
+      Value v;
+      for (size_t r = 0; r < rows; ++r) {
+        col.LoadInto(r, &v);
+        state(r).Add(v, func, /*count_star=*/false);
+      }
+      return;
+    }
+    for (size_t r = 0; r < rows; ++r) {
+      if (col.nulls[r] != 0) continue;  // SQL aggregates ignore NULLs.
+      AggState& s = state(r);
+      ++s.count;
+      if (func == AggFunc::kCount) continue;
+      if (col.type == DataType::kInt64) {
+        s.AddInt(col.ints[r]);
+      } else {
+        s.AddDouble(col.doubles[r]);
+      }
+    }
   }
 
   /// Evaluates every key and argument over the slice into `key_cols_` and
@@ -869,11 +1020,16 @@ class Executor::GroupBy {
   sim::SimTime row_cost_ns_ = 0;
   sim::SimTime vrow_cost_ns_ = 0;
   sim::SimTime vbatch_cost_ns_ = 0;
-  GroupMap groups_;
-  Tuple key_;  // Reused probe key.
+  KeyTable table_;
+  std::vector<Tuple> group_keys_;  // By group id: the first key seen.
+  std::vector<AggState> states_;   // By group id, then aggregate.
+  Tuple key_;                      // AddRow's reused probe key.
+  // AddColumns' per-slice scratch.
   std::vector<ColumnView> key_cols_;
   std::vector<ColumnView> arg_cols_;
   std::vector<ColumnBatch::Column> results_;
+  std::vector<uint64_t> hashes_;
+  std::vector<uint32_t> group_ids_;
 };
 
 StatusOr<std::vector<Tuple>> Executor::RunAggregate(const AggregatePlan& plan) {

@@ -200,7 +200,7 @@ void FixpointPeProcess::HandleBatchResend(const pool::Mail& mail) {
   }
   // Retransmit the lowest unacknowledged sent batch, then pump in case
   // credit is free.
-  if (const exec::TupleBatch* batch = out.channel.Unacked()) {
+  if (const exec::OutboundBatch* batch = out.channel.Unacked()) {
     SendBatchMsg(token, out, *batch, /*first=*/false);
   }
   PumpOut(token, out);
@@ -277,7 +277,7 @@ void FixpointPeProcess::SendRoundStreams(uint64_t round,
 
 void FixpointPeProcess::PumpOut(uint64_t token, OutStream& out) {
   if (out.channel.next_unsent() == 0) return;
-  while (const exec::TupleBatch* batch = out.channel.TakeNextToSend()) {
+  while (const exec::OutboundBatch* batch = out.channel.TakeNextToSend()) {
     SendBatchMsg(token, out, *batch, /*first=*/true);
   }
   if (out.channel.next_unsent() != 0) return;
@@ -287,7 +287,7 @@ void FixpointPeProcess::PumpOut(uint64_t token, OutStream& out) {
 }
 
 void FixpointPeProcess::SendBatchMsg(uint64_t token, OutStream& out,
-                                     const exec::TupleBatch& batch,
+                                     const exec::OutboundBatch& batch,
                                      bool first) {
   auto msg = std::make_shared<TupleBatchMsg>();
   msg->exchange_id = config_.fixpoint_id;
@@ -298,13 +298,13 @@ void FixpointPeProcess::SendBatchMsg(uint64_t token, OutStream& out,
   msg->eos = batch.eos;
   if (config_.columnar) {
     msg->column_frame = std::make_shared<const std::string>(
-        SerializeColumnBatch(ColumnBatch::FromTuples(batch.tuples)));
+        SerializeColumnBatch(ColumnBatch::FromTuples(*batch.tuples)));
   } else {
-    msg->tuples = std::make_shared<std::vector<Tuple>>(batch.tuples);
+    msg->tuples = batch.tuples;
   }
   const int64_t bits = msg->WireBits();
   // Marshalling cost, mirroring the receiver's per-tuple unmarshal charge.
-  ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
+  ChargeCpu(static_cast<sim::SimTime>(batch.tuples->size()) *
             config_.costs.tuple_ns);
   if (first) {
     // First transmissions only: the per-round shipping-cost axis must not

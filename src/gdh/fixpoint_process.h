@@ -128,7 +128,7 @@ class FixpointPeProcess : public pool::Process {
                         exec::RoutedPairs index);
   void PumpOut(uint64_t token, OutStream& out);
   void SendBatchMsg(uint64_t token, OutStream& out,
-                    const exec::TupleBatch& batch, bool first);
+                    const exec::OutboundBatch& batch, bool first);
   bool InboundComplete(uint64_t round);
   bool OutboundSentComplete(uint64_t round) const;
   void MaybeVote();

@@ -264,7 +264,7 @@ struct TupleBatchMsg {
   bool eos = false;   // Final batch of this channel.
   /// Row-encoded payload (exactly one of tuples / column_frame is set on
   /// a non-empty batch; empty batches may carry neither).
-  std::shared_ptr<std::vector<Tuple>> tuples;
+  std::shared_ptr<const std::vector<Tuple>> tuples;
   /// Column-encoded payload: a serialized ColumnBatch frame (DESIGN.md
   /// §12). Its *actual byte length* is the modelled wire size, so the
   /// exchange.wire_bits savings of the columnar format are measured, not

@@ -467,7 +467,7 @@ void OfmProcess::PumpShuffle(ShuffleState& state) {
 
 void OfmProcess::PumpShuffleChannel(ShuffleState& state, ShuffleChannel& sc) {
   bool sent = false;
-  while (const exec::TupleBatch* batch = sc.channel.TakeNextToSend()) {
+  while (const exec::OutboundBatch* batch = sc.channel.TakeNextToSend()) {
     // Only first transmissions count toward the shuffle's modelled
     // data-plane bits; retransmissions are repair, not payload.
     state.wire_bits += static_cast<uint64_t>(SendBatch(state, sc, *batch));
@@ -485,7 +485,7 @@ void OfmProcess::PumpShuffleChannel(ShuffleState& state, ShuffleChannel& sc) {
 
 int64_t OfmProcess::SendBatch(const ShuffleState& state,
                               const ShuffleChannel& channel,
-                              const exec::TupleBatch& batch) {
+                              const exec::OutboundBatch& batch) {
   auto msg = std::make_shared<TupleBatchMsg>();
   msg->exchange_id = state.exchange_id;
   msg->side = state.side;
@@ -498,13 +498,13 @@ int64_t OfmProcess::SendBatch(const ShuffleState& state,
     // the modelled payload size, so format savings show up in
     // exchange.wire_bits / exchange.bytes instead of being assumed.
     msg->column_frame = std::make_shared<const std::string>(
-        SerializeColumnBatch(ColumnBatch::FromTuples(batch.tuples)));
+        SerializeColumnBatch(ColumnBatch::FromTuples(*batch.tuples)));
   } else {
-    msg->tuples = std::make_shared<std::vector<Tuple>>(batch.tuples);
+    msg->tuples = batch.tuples;
   }
   const int64_t bits = msg->WireBits();
   // Marshalling cost, mirroring the consumer's per-tuple unmarshal charge.
-  ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
+  ChargeCpu(static_cast<sim::SimTime>(batch.tuples->size()) *
             config_.ofm.exec.costs.tuple_ns);
   if (m_batches_sent_ != nullptr) {
     m_batches_sent_->Increment();
@@ -570,7 +570,7 @@ void OfmProcess::HandleBatchResend(const pool::Mail& mail) {
   // Retransmit every channel's lowest unacknowledged sent batch, then
   // pump in case credit is free.
   for (ShuffleChannel& sc : state.channels) {
-    if (const exec::TupleBatch* batch = sc.channel.Unacked()) {
+    if (const exec::OutboundBatch* batch = sc.channel.Unacked()) {
       CountBatchRetransmit();
       SendBatch(state, sc, *batch);
     }
@@ -715,7 +715,7 @@ void OfmProcess::HandleResync(const pool::Mail& mail) {
 void OfmProcess::PumpResyncBulk(ResyncSource& source) {
   if (source.bulk == nullptr) return;
   bool sent = false;
-  while (const exec::TupleBatch* batch = source.bulk->TakeNextToSend()) {
+  while (const exec::OutboundBatch* batch = source.bulk->TakeNextToSend()) {
     SendResyncBatch(source, *batch);
     sent = true;
   }
@@ -725,7 +725,7 @@ void OfmProcess::PumpResyncBulk(ResyncSource& source) {
 }
 
 void OfmProcess::SendResyncBatch(ResyncSource& source,
-                                 const exec::TupleBatch& batch) {
+                                 const exec::OutboundBatch& batch) {
   auto msg = std::make_shared<TupleBatchMsg>();
   msg->exchange_id = source.resync_id;
   msg->shuffle_token = source.token;
@@ -733,13 +733,13 @@ void OfmProcess::SendResyncBatch(ResyncSource& source,
   msg->eos = batch.eos;
   if (source.columnar) {
     msg->column_frame = std::make_shared<const std::string>(
-        SerializeColumnBatch(ColumnBatch::FromTuples(batch.tuples)));
+        SerializeColumnBatch(ColumnBatch::FromTuples(*batch.tuples)));
   } else {
-    msg->tuples = std::make_shared<std::vector<Tuple>>(batch.tuples);
+    msg->tuples = batch.tuples;
   }
   const int64_t bits = msg->WireBits();
   source.wire_bits += static_cast<uint64_t>(bits);
-  ChargeCpu(static_cast<sim::SimTime>(batch.tuples.size()) *
+  ChargeCpu(static_cast<sim::SimTime>(batch.tuples->size()) *
             config_.ofm.exec.costs.tuple_ns);
   if (m_batches_sent_ != nullptr) {
     m_batches_sent_->Increment();
@@ -820,7 +820,7 @@ void OfmProcess::HandleResyncPump(const pool::Mail& mail) {
   }
   if (source.bulk != nullptr && !source.bulk->done()) {
     // Same repair rule as shuffles.
-    if (const exec::TupleBatch* batch = source.bulk->Unacked()) {
+    if (const exec::OutboundBatch* batch = source.bulk->Unacked()) {
       CountBatchRetransmit();
       SendResyncBatch(source, *batch);
     }

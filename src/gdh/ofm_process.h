@@ -187,7 +187,7 @@ class OfmProcess : public pool::Process {
   void PumpShuffleChannel(ShuffleState& state, ShuffleChannel& sc);
   /// Returns the modelled wire bits of the transmitted batch.
   int64_t SendBatch(const ShuffleState& state, const ShuffleChannel& channel,
-                    const exec::TupleBatch& batch);
+                    const exec::OutboundBatch& batch);
   /// Counts one batch retransmission (exchange.retransmits).
   void CountBatchRetransmit();
   /// Answers the coordinator (cached) and discards the shuffle state.
@@ -222,7 +222,7 @@ class OfmProcess : public pool::Process {
   };
 
   void PumpResyncBulk(ResyncSource& source);
-  void SendResyncBatch(ResyncSource& source, const exec::TupleBatch& batch);
+  void SendResyncBatch(ResyncSource& source, const exec::OutboundBatch& batch);
   /// Ships the next committed-WAL round (or finishes the phase when the
   /// log is drained); the cutover phase always ships exactly one final
   /// round so the target completes even if nothing changed.

@@ -940,7 +940,7 @@ void QueryProcess::FinishGather() {
   // slices concatenate in consumer order (consumer c holds range slice c
   // of the global order). Group-by slices are disjoint group sets whose
   // keys interleave across consumers; sorting the concatenation restores
-  // the single-node aggregate's output order (its group map iterates in
+  // the single-node aggregate's output order (it emits groups in
   // ascending key order, group rows are unique on their leading key
   // columns, so whole-tuple order IS group-key order).
   for (auto& [part, state] : olap_work_) {

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <functional>
+#include <map>
+#include <optional>
 #include <set>
 #include <string>
 
@@ -14,6 +18,7 @@
 #include "exec/executor.h"
 #include "exec/expr_compiler.h"
 #include "exec/exchange.h"
+#include "exec/expr_eval.h"
 #include "exec/join.h"
 #include "exec/transitive_closure.h"
 #include "storage/relation.h"
@@ -979,19 +984,21 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param == ExprMode::kCompiled ? "Compiled" : "Interpreted";
     });
 
-/// One 200k-row fragment (ROADMAP item 5 scale): a point select and a
-/// group-by read in place, in row and vectorized mode, must return the
-/// answers of the same plans over an Exchange pass-through, with the same
-/// stats and virtual charge.
+/// One 200k-row fragment (ROADMAP item 5 scale): a point select, a
+/// 97-group and a 50k-group group-by read in place, in row and vectorized
+/// mode, must return the answers of the same plans over an Exchange
+/// pass-through, with the same stats and virtual charge.
 TEST(InPlaceScanScaleTest, TwoHundredThousandRowsMatchPassThrough) {
   const Schema schema({{"id", DataType::kInt64},
                        {"grp", DataType::kInt64},
-                       {"v", DataType::kInt64}});
+                       {"v", DataType::kInt64},
+                       {"wide", DataType::kInt64}});
   storage::Relation item("item", schema);
   constexpr int kRows = 200'000;
   for (int i = 0; i < kRows; ++i) {
     item.Insert(Tuple({Value::Int(i), Value::Int(i % 97),
-                       i % 11 == 0 ? Value::Null() : Value::Int(i % 1000)}))
+                       i % 11 == 0 ? Value::Null() : Value::Int(i % 1000),
+                       Value::Int(i % 50'000)}))
         .value();
   }
   // A sprinkle of tombstones, so some slices are gathered.
@@ -1012,30 +1019,33 @@ TEST(InPlaceScanScaleTest, TwoHundredThousandRowsMatchPassThrough) {
                Expr::Binary(BinaryOp::kEq, Col("id"), Lit(int64_t{123'457})))
         .value();
   };
-  auto group_by = [&](bool pass_through) {
+  auto group_by = [&](bool pass_through, const std::string& key) {
     std::unique_ptr<algebra::Plan> child = ScanPlan::Create("item", schema);
     if (pass_through) {
       child = algebra::ExchangePlan::Create(
           std::move(child), algebra::ExchangePlan::Mode::kHashPartition, {0});
     }
     std::vector<std::unique_ptr<Expr>> groups;
-    groups.push_back(Col("grp"));
+    groups.push_back(Col(key));
     std::vector<algebra::AggSpec> aggs;
     aggs.push_back({AggFunc::kCount, nullptr, "n"});
     aggs.push_back({AggFunc::kSum, Col("v"), "total"});
     return std::unique_ptr<algebra::Plan>(
-        AggregatePlan::Create(std::move(child), std::move(groups), {"grp"},
+        AggregatePlan::Create(std::move(child), std::move(groups), {key},
                               std::move(aggs))
             .value());
   };
   for (const ExecMode mode : {ExecMode::kRow, ExecMode::kVectorized}) {
-    for (int q = 0; q < 2; ++q) {
+    for (int q = 0; q < 3; ++q) {
       ExecOptions opts;
       opts.exec_mode = mode;
       Executor in_place(&resolver, opts);
       Executor copying(&resolver, opts);
-      auto got = in_place.Execute(q == 0 ? *point(false) : *group_by(false));
-      auto want = copying.Execute(q == 0 ? *point(true) : *group_by(true));
+      const std::string key = q == 1 ? "grp" : "wide";
+      auto got = in_place.Execute(q == 0 ? *point(false)
+                                         : *group_by(false, key));
+      auto want = copying.Execute(q == 0 ? *point(true)
+                                         : *group_by(true, key));
       ASSERT_TRUE(got.ok() && want.ok());
       EXPECT_EQ(*got, *want) << ExecModeName(mode) << " query " << q;
       EXPECT_EQ(in_place.stats().tuples_scanned, item.num_tuples());
@@ -1048,7 +1058,8 @@ TEST(InPlaceScanScaleTest, TwoHundredThousandRowsMatchPassThrough) {
         ASSERT_EQ(got->size(), 1u);
         EXPECT_EQ(got->front().at(0), Value::Int(123'457));
       } else {
-        EXPECT_EQ(got->size(), 97u);
+        EXPECT_EQ(got->size(), q == 1 ? 97u : 50'000u);
+        EXPECT_TRUE(std::is_sorted(got->begin(), got->end()));
       }
     }
   }
@@ -1180,6 +1191,406 @@ TEST_F(AggregateProbeTest, GroupExpressionErrorOnRowK) {
   EXPECT_EQ(t.result.status().code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(t.stats.expr_evaluations, 7u * 3u);
 }
+
+/// ColumnView::HashAt and EqualsAt must agree with Value::Hash and
+/// Value::Compare on every type, on typed and boxed columns, NULL and the
+/// INT/DOUBLE, -0.0/0.0 and NaN corners included.
+TEST(ColumnViewTest, HashAtAndEqualsAtAgreeWithValue) {
+  constexpr int64_t kBig = int64_t{1} << 53;
+  const std::vector<Value> values = {
+      Value::Null(),          Value::Bool(false),
+      Value::Bool(true),      Value::Int(0),
+      Value::Int(-7),         Value::Int(3),
+      Value::Int(kBig),       Value::Int(-kBig),
+      Value::Double(0.0),     Value::Double(-0.0),
+      Value::Double(3.0),     Value::Double(3.5),
+      Value::Double(-7.0),    Value::Double(static_cast<double>(kBig)),
+      Value::Double(1e300),   Value::Double(std::nan("")),
+      Value::String(""),      Value::String("abc"),
+      Value::String("abd")};
+  // One typed column per type (with a NULL row each), plus one boxed
+  // column holding every value.
+  std::vector<std::vector<Tuple>> columns(5);
+  std::vector<Tuple> boxed;
+  for (const Value& v : values) {
+    columns[static_cast<size_t>(v.type())].push_back(Tuple({v}));
+    boxed.push_back(Tuple({v}));
+  }
+  for (size_t t = 1; t < columns.size(); ++t) {
+    columns[t].push_back(Tuple({Value::Null()}));
+  }
+  columns.push_back(boxed);
+  for (const std::vector<Tuple>& rows : columns) {
+    const ColumnBatch batch = ColumnBatch::FromTuples(rows);
+    const ColumnView view = batch.column(0).View();
+    EXPECT_EQ(view.boxed, &rows == &columns.back());
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const Value at = view.ValueAt(r);
+      EXPECT_EQ(view.HashAt(r), at.Hash()) << at;
+      for (const Value& v : values) {
+        EXPECT_EQ(view.EqualsAt(r, v), at.Compare(v) == 0)
+            << at << " vs " << v;
+      }
+    }
+  }
+}
+
+/// A row rendered exactly: type tags, and doubles by bit pattern, so -0.0
+/// differs from 0.0, 3 from 3.0, and sums must match to the last bit.
+std::vector<std::string> ExactRows(const std::vector<Tuple>& rows) {
+  std::vector<std::string> out;
+  for (const Tuple& row : rows) {
+    std::string line;
+    for (const Value& v : row.values()) {
+      if (v.type() == DataType::kDouble) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "D%a|", v.double_value());
+        line += buf;
+      } else {
+        line += std::string(DataTypeName(v.type())) + v.ToString() + "|";
+      }
+    }
+    out.push_back(std::move(line));
+  }
+  return out;
+}
+
+/// Random Aggregate plans over random fragments, run on the row path
+/// (AddRow, compiled and interpreted), the in-place path (AddColumns over
+/// stored slices) and the vectorized path (AddColumns over batches), each
+/// against an ordered-map reference kept here. All must return the
+/// reference's rows in its order (group keys as first seen), its Status
+/// and its expression-evaluation count, and charge exactly the cost
+/// model's sequence, which does not depend on how groups are stored.
+class GroupByDiffTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  static Schema TableSchema() {
+    return Schema({{"id", DataType::kInt64},
+                   {"g", DataType::kInt64},  // id % domain: all groups.
+                   {"i", DataType::kInt64},
+                   {"d", DataType::kDouble},
+                   {"b", DataType::kBool},
+                   {"s", DataType::kString},
+                   {"w", DataType::kNull}});  // Wildcard: INT and DOUBLE.
+  }
+
+  /// Running state of one aggregate, written independently of the
+  /// executor's.
+  struct RefState {
+    uint64_t count = 0;
+    int64_t sum_i = 0;
+    double sum_d = 0;
+    bool any_double = false;
+    std::optional<Value> min, max;
+  };
+
+  struct Reference {
+    Status status;
+    std::vector<Tuple> rows;
+    uint64_t evaluations = 0;
+  };
+
+  /// The plan's answer by an ordered map, evaluating each row's keys then
+  /// arguments with the compiled or interpreted scalar evaluator.
+  static Reference Evaluate(const AggregatePlan& plan,
+                            const std::vector<Tuple>& input, bool compiled) {
+    std::vector<const Expr*> exprs;
+    for (const auto& k : plan.group_by()) exprs.push_back(k.get());
+    for (const auto& a : plan.aggs()) exprs.push_back(a.arg.get());
+    std::vector<std::optional<CompiledExpr>> programs;
+    for (const Expr* e : exprs) {
+      programs.push_back(e != nullptr && compiled
+                             ? std::optional(CompileExpr(*e).value())
+                             : std::nullopt);
+    }
+    auto eval = [&](size_t e, const Tuple& row) {
+      return compiled ? programs[e]->Eval(row) : EvalExpr(*exprs[e], row);
+    };
+    const size_t num_keys = plan.group_by().size();
+    const size_t num_aggs = plan.aggs().size();
+    Reference ref;
+    std::map<Tuple, std::vector<RefState>> groups;
+    for (const Tuple& row : input) {
+      std::vector<Value> key;
+      for (size_t k = 0; k < num_keys; ++k) {
+        StatusOr<Value> v = eval(k, row);
+        if (!v.ok()) {
+          ref.status = v.status();
+          return ref;
+        }
+        ++ref.evaluations;
+        key.push_back(*v);
+      }
+      auto it = groups.try_emplace(Tuple(std::move(key)), num_aggs).first;
+      for (size_t i = 0; i < num_aggs; ++i) {
+        RefState& st = it->second[i];
+        if (plan.aggs()[i].arg == nullptr) {
+          ++st.count;
+          continue;
+        }
+        StatusOr<Value> v = eval(num_keys + i, row);
+        if (!v.ok()) {
+          ref.status = v.status();
+          return ref;
+        }
+        ++ref.evaluations;
+        if (v->is_null()) continue;
+        ++st.count;
+        switch (plan.aggs()[i].func) {
+          case AggFunc::kSum:
+          case AggFunc::kAvg:
+            if (v->type() == DataType::kDouble) {
+              st.any_double = true;
+              st.sum_d += v->double_value();
+            } else {
+              st.sum_i += v->int_value();
+              st.sum_d += static_cast<double>(v->int_value());
+            }
+            break;
+          case AggFunc::kMin:
+            if (!st.min || *v < *st.min) st.min = *v;
+            break;
+          case AggFunc::kMax:
+            if (!st.max || *st.max < *v) st.max = *v;
+            break;
+          case AggFunc::kCount:
+            break;
+        }
+      }
+    }
+    if (groups.empty() && num_keys == 0) groups.try_emplace(Tuple(), num_aggs);
+    for (const auto& [key, states] : groups) {
+      std::vector<Value> out = key.values();
+      for (size_t i = 0; i < num_aggs; ++i) {
+        const RefState& st = states[i];
+        const DataType type = plan.schema().column(num_keys + i).type;
+        switch (plan.aggs()[i].func) {
+          case AggFunc::kCount:
+            out.push_back(Value::Int(static_cast<int64_t>(st.count)));
+            break;
+          case AggFunc::kSum:
+            out.push_back(st.count == 0 ? Value::Null()
+                          : type == DataType::kDouble || st.any_double
+                              ? Value::Double(st.sum_d)
+                              : Value::Int(st.sum_i));
+            break;
+          case AggFunc::kAvg:
+            out.push_back(st.count == 0
+                              ? Value::Null()
+                              : Value::Double(st.sum_d /
+                                              static_cast<double>(st.count)));
+            break;
+          case AggFunc::kMin:
+            out.push_back(st.min.value_or(Value::Null()));
+            break;
+          case AggFunc::kMax:
+            out.push_back(st.max.value_or(Value::Null()));
+            break;
+        }
+      }
+      ref.rows.push_back(Tuple(std::move(out)));
+    }
+    return ref;
+  }
+};
+
+TEST_P(GroupByDiffTest, AllPathsMatchAnOrderedMapReference) {
+  Rng rng(GetParam());
+  constexpr int64_t kBig = int64_t{1} << 53;
+  const int sizes[] = {0, 1, 6, 300, 4000, 12000};
+  const int domains[] = {1, 3, 40, 600, 5000};
+  const int rows = sizes[rng.Uniform(6)];
+  const int domain = domains[rng.Uniform(5)];
+  auto null_or = [&](Value v) {
+    return rng.NextBool(0.1) ? Value::Null() : std::move(v);
+  };
+  storage::Relation table("t", TableSchema());
+  for (int r = 0; r < rows; ++r) {
+    // Each column draws its own value from the domain.
+    auto draw = [&] { return static_cast<int64_t>(rng.Uniform(domain)); };
+    const int64_t k = draw();
+    // -0.0 and 0.0 both occur (kd = 1 and 0); tenths make DOUBLE sums
+    // depend on the order rows are added in.
+    const int64_t kd = draw();
+    const double d = (kd % 2 == 1 ? -0.1 : 0.1) * static_cast<double>(kd / 2);
+    // Wildcard: a value, or one near +-2^53, as INT or integral DOUBLE.
+    const int64_t kw = draw();
+    const int64_t wk = rng.NextBool(0.05)
+                           ? (kw % 2 == 0 ? kBig - kw : kw - kBig)
+                           : kw;
+    const Value w = rng.NextBool(0.5) ? Value::Int(wk)
+                                      : Value::Double(static_cast<double>(wk));
+    table
+        .Insert(Tuple({Value::Int(r), Value::Int(r % domain),
+                       null_or(Value::Int(k)), null_or(Value::Double(d)),
+                       null_or(Value::Bool(draw() % 3 == 0)),
+                       null_or(Value::String("s" + std::to_string(draw()))),
+                       null_or(w)}))
+        .value();
+  }
+  for (int r = 0; r < rows; ++r) {
+    if (rng.NextBool(0.05)) {
+      ASSERT_TRUE(table.Delete(r).ok());
+    }
+  }
+  MapTableResolver resolver;
+  resolver.Register("t", &table);
+  const std::vector<Tuple> live = table.AllTuples();
+
+  // The plan: 0-3 keys, 1-4 aggregates, and maybe one key or argument
+  // that fails on the row with id `fail_at` (division by zero). Each run
+  // rebuilds the same plan from the same draws.
+  const int64_t fail_at = rows == 0 ? 0 : rng.UniformInt(0, rows + rows / 4);
+  const uint64_t plan_seed = rng.Next();
+  auto make = [&](std::unique_ptr<algebra::Plan> child) {
+    Rng draw(plan_seed);
+    bool may_fail = draw.NextBool(0.3);
+    auto operand = [&](bool numeric) -> std::unique_ptr<Expr> {
+      if (may_fail && draw.NextBool(0.3)) {
+        may_fail = false;
+        return Expr::Binary(
+            BinaryOp::kDiv, Lit(int64_t{100}),
+            Expr::Binary(BinaryOp::kSub, Col("id"), Lit(fail_at)));
+      }
+      if (numeric) {
+        if (draw.NextBool(0.2)) {
+          return Expr::Binary(BinaryOp::kAdd, Col("i"), Col("d"));
+        }
+        return Col(std::vector<std::string>{"i", "d", "w"}[draw.Uniform(3)]);
+      }
+      return Col(std::vector<std::string>{"g", "g", "i", "d", "b", "s",
+                                          "w"}[draw.Uniform(7)]);
+    };
+    std::vector<std::unique_ptr<Expr>> keys;
+    std::vector<std::string> names;
+    const size_t num_keys = draw.Uniform(4);
+    for (size_t k = 0; k < num_keys; ++k) {
+      keys.push_back(operand(/*numeric=*/false));
+      names.push_back("k" + std::to_string(k));
+    }
+    std::vector<algebra::AggSpec> aggs;
+    const size_t num_aggs = 1 + draw.Uniform(4);
+    for (size_t i = 0; i < num_aggs; ++i) {
+      const std::string name = "a" + std::to_string(i);
+      switch (draw.Uniform(6)) {
+        case 0:
+          aggs.push_back({AggFunc::kCount, nullptr, name});
+          break;
+        case 1:
+          aggs.push_back({AggFunc::kCount, operand(false), name});
+          break;
+        case 2:
+          aggs.push_back({AggFunc::kSum, operand(true), name});
+          break;
+        case 3:
+          aggs.push_back({AggFunc::kAvg, operand(true), name});
+          break;
+        case 4:
+          aggs.push_back({AggFunc::kMin, operand(false), name});
+          break;
+        default:
+          aggs.push_back({AggFunc::kMax, operand(false), name});
+          break;
+      }
+    }
+    return AggregatePlan::Create(std::move(child), std::move(keys), names,
+                                 std::move(aggs));
+  };
+  const size_t batch_rows =
+      std::vector<size_t>{1, 3, 7, 64, 1024}[rng.Uniform(5)];
+
+  struct Run {
+    const char* name;
+    ExprMode expr_mode;
+    ExecMode exec_mode;
+    bool pass_through;  // Exchange over the Scan: the copying row path.
+  };
+  const Run runs[] = {
+      {"row", ExprMode::kCompiled, ExecMode::kRow, true},
+      {"in-place", ExprMode::kCompiled, ExecMode::kRow, false},
+      {"vectorized", ExprMode::kCompiled, ExecMode::kVectorized, false},
+      {"interpreted row", ExprMode::kInterpreted, ExecMode::kRow, false},
+  };
+  const pool::CostModel costs;
+  for (const Run& run : runs) {
+    SCOPED_TRACE(run.name);
+    std::unique_ptr<algebra::Plan> child = ScanPlan::Create("t", TableSchema());
+    if (run.pass_through) {
+      child = algebra::ExchangePlan::Create(
+          std::move(child), algebra::ExchangePlan::Mode::kHashPartition, {0});
+    }
+    auto plan = make(std::move(child));
+    ASSERT_TRUE(plan.ok()) << plan.status().ToString();
+    const auto& agg = static_cast<const AggregatePlan&>(**plan);
+    const bool compiled = run.expr_mode == ExprMode::kCompiled;
+    const Reference want = Evaluate(agg, live, compiled);
+
+    ExecutionTrace got;
+    ExecOptions opts;
+    opts.expr_mode = run.expr_mode;
+    opts.exec_mode = run.exec_mode;
+    opts.batch_rows = batch_rows;
+    opts.charge = [&got](sim::SimTime ns) { got.charges.push_back(ns); };
+    Executor executor(&resolver, opts);
+    got.result = executor.Execute(**plan);
+    got.stats = executor.stats();
+
+    EXPECT_EQ(got.result.status().code(), want.status.code());
+    EXPECT_EQ(got.result.status().message(), want.status.message());
+    if (got.result.ok() && want.status.ok()) {
+      EXPECT_EQ(ExactRows(*got.result), ExactRows(want.rows));
+    }
+
+    // The cost model's charges, from instruction counts and batch sizes.
+    sim::SimTime instr = 0;
+    sim::SimTime nodes = 0;
+    size_t num_exprs = 0;
+    auto count = [&](const Expr* e) {
+      if (e == nullptr) return;
+      instr += static_cast<sim::SimTime>(CompileExpr(*e)->num_instructions());
+      nodes += static_cast<sim::SimTime>(e->TreeSize());
+      ++num_exprs;
+    };
+    for (const auto& k : agg.group_by()) count(k.get());
+    for (const auto& a : agg.aggs()) count(a.arg.get());
+    const auto n = static_cast<sim::SimTime>(live.size());
+    std::vector<sim::SimTime> charges;
+    uint64_t evaluations = want.evaluations;
+    if (run.exec_mode == ExecMode::kRow) {
+      charges.push_back(n * costs.tuple_ns);
+      const sim::SimTime per_row =
+          costs.hash_ns + (compiled ? instr * costs.compiled_instr_ns
+                                    : nodes * costs.interpreted_node_ns);
+      if (want.status.ok()) charges.push_back(n * per_row);
+    } else {
+      // Whole batches are charged and counted up to the one holding the
+      // failing row, which adds neither.
+      const std::vector<ColumnBatch> batches = table.ScanBatches(batch_rows);
+      charges.push_back(n * costs.batch_row_ns +
+                        static_cast<sim::SimTime>(batches.size()) *
+                            costs.vector_batch_ns);
+      const size_t failing_row = want.status.ok()
+                                     ? live.size()
+                                     : want.evaluations / num_exprs;
+      evaluations = 0;
+      size_t before = 0;
+      for (const ColumnBatch& b : batches) {
+        if (before + b.num_rows() > failing_row) break;
+        before += b.num_rows();
+        evaluations += b.num_rows() * num_exprs;
+        charges.push_back(
+            static_cast<sim::SimTime>(b.num_rows()) *
+                (costs.hash_ns + instr * costs.vector_instr_ns) +
+            instr * costs.vector_batch_ns);
+      }
+    }
+    EXPECT_EQ(got.stats.expr_evaluations, evaluations);
+    EXPECT_EQ(got.charges, charges);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, GroupByDiffTest,
+                         ::testing::Range(uint64_t{1}, uint64_t{51}));
 
 // ------------------------------------------------- Exchange channels (§10)
 
@@ -1317,12 +1728,12 @@ TEST(OutboundChannelTest, FramesIntoBoundedBatchesWithEos) {
   OutboundChannel channel(std::move(tuples), /*batch_rows=*/4,
                           /*window=*/100);
   EXPECT_EQ(channel.last_seq(), 3u);  // 4 + 4 + 2.
-  const TupleBatch* b;
+  const OutboundBatch* b;
   size_t total = 0;
   std::vector<size_t> sizes;
   while ((b = channel.TakeNextToSend()) != nullptr) {
-    sizes.push_back(b->tuples.size());
-    total += b->tuples.size();
+    sizes.push_back(b->tuples->size());
+    total += b->tuples->size();
     EXPECT_EQ(b->eos, sizes.size() == 3);
   }
   EXPECT_EQ(sizes, (std::vector<size_t>{4, 4, 2}));
@@ -1332,10 +1743,10 @@ TEST(OutboundChannelTest, FramesIntoBoundedBatchesWithEos) {
 TEST(OutboundChannelTest, EmptyStreamIsOneEmptyEosBatch) {
   OutboundChannel channel({}, 4, 1);
   EXPECT_EQ(channel.last_seq(), 1u);
-  const TupleBatch* b = channel.TakeNextToSend();
+  const OutboundBatch* b = channel.TakeNextToSend();
   ASSERT_NE(b, nullptr);
   EXPECT_TRUE(b->eos);
-  EXPECT_TRUE(b->tuples.empty());
+  EXPECT_TRUE(b->tuples->empty());
   EXPECT_FALSE(channel.done());  // Not done until the consumer acks.
   EXPECT_TRUE(channel.OnAck(1));
   EXPECT_TRUE(channel.done());
@@ -1355,7 +1766,7 @@ TEST(OutboundChannelTest, CreditWindowStallsAndAcksReopenIt) {
 
   EXPECT_TRUE(channel.OnAck(1));
   EXPECT_FALSE(channel.Stalled());
-  const TupleBatch* b = channel.TakeNextToSend();
+  const OutboundBatch* b = channel.TakeNextToSend();
   ASSERT_NE(b, nullptr);
   EXPECT_EQ(b->seq, 3u);
   // Stale/duplicate acks never move the window backwards.
@@ -1370,8 +1781,12 @@ TEST(OutboundChannelTest, RetransmissionHelpers) {
   for (int i = 0; i < 4; ++i) tuples.push_back(Pair(i, i));
   OutboundChannel channel(std::move(tuples), 2, 1);  // 2 batches, window 1.
   EXPECT_FALSE(channel.Sent(1));
-  EXPECT_NE(channel.TakeNextToSend(), nullptr);
+  const OutboundBatch* first = channel.TakeNextToSend();
+  ASSERT_NE(first, nullptr);
   EXPECT_TRUE(channel.Sent(1));
+  // A retransmission shares the first send's rows.
+  ASSERT_NE(channel.Unacked(), nullptr);
+  EXPECT_EQ(channel.Unacked()->tuples.get(), first->tuples.get());
   EXPECT_FALSE(channel.Sent(2));  // Stalled, not yet handed out.
   ASSERT_NE(channel.BatchAt(1), nullptr);
   EXPECT_EQ(channel.BatchAt(1)->seq, 1u);
@@ -1465,8 +1880,8 @@ TEST(PipelinedHashJoinTest, OutOfOrderAndDuplicateBatchesViaChannels) {
 
   OutboundChannel out_channel(build_rows, /*batch_rows=*/1, /*window=*/4);
   std::vector<TupleBatch> wire;
-  while (const TupleBatch* b = out_channel.TakeNextToSend()) {
-    wire.push_back(*b);
+  while (const OutboundBatch* b = out_channel.TakeNextToSend()) {
+    wire.push_back({b->seq, b->eos, *b->tuples});
   }
   ASSERT_EQ(wire.size(), 4u);
   // Deliver 2, 1, 2(dup), 4, 3, 4(dup).
