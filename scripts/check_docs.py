@@ -14,7 +14,11 @@ interprets. This check fails the build when any of those links dangle:
      experiment index, and every `bench_*` named there exists on disk;
   4. every `BENCH_*.json` name EXPERIMENTS.md mentions has a bench
      source that actually emits it (the string literal appears in some
-     bench/bench_*.cc) — no phantom artifacts in the registry.
+     bench/bench_*.cc) — no phantom artifacts in the registry;
+  5. every source path DESIGN.md, README.md and EXPERIMENTS.md name
+     (`tests/olap_diff_test.cc`, `gdh/stage_consumer.{h,cc}`, ...)
+     exists, from the repo root or from src/ — deleting or renaming a
+     file cannot leave a stale reference behind.
 
 Usage: check_docs.py [repo-root]   (defaults to the parent of scripts/)
 """
@@ -125,6 +129,35 @@ def check_experiment_index(root, problems):
                 f"bench/{name}.cc does not exist")
 
 
+# A relative path with at least one directory and a source-like extension,
+# or a `{h,cc}`-style brace list of extensions.
+PATH_RE = re.compile(
+    r"(?<![\w./-])((?:[\w-]+/)+[\w.-]*?"
+    r"(?:\{[\w,.]+\}|\.(?:h|cc|cpp|py|sh|json|md|txt)))(?![\w/])")
+
+
+def expand_braces(path):
+    m = re.search(r"\{([^}]*)\}", path)
+    if not m:
+        return [path]
+    return [path[:m.start()] + alt + path[m.end():]
+            for alt in m.group(1).split(",")]
+
+
+def check_doc_paths(root, problems):
+    for doc in ("DESIGN.md", "README.md", "EXPERIMENTS.md"):
+        with open(os.path.join(root, doc), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        for lineno, line in enumerate(lines, 1):
+            for m in PATH_RE.finditer(line):
+                for path in expand_braces(m.group(1)):
+                    if not any(os.path.exists(os.path.join(root, base, path))
+                               for base in ("", "src")):
+                        problems.append(
+                            f"{doc}:{lineno}: names {path}, which exists "
+                            f"neither from the repo root nor from src/")
+
+
 def main():
     root = os.path.abspath(
         sys.argv[1] if len(sys.argv) > 1
@@ -135,10 +168,11 @@ def main():
     check_bench_artifacts(root, problems)
     check_bench_emitters(root, problems)
     check_experiment_index(root, problems)
+    check_doc_paths(root, problems)
     if problems:
         return fail(problems)
-    print("check_docs: OK (section references, bench artifacts and the "
-          "experiment index are in sync)")
+    print("check_docs: OK (section references, bench artifacts, the "
+          "experiment index and named source paths are in sync)")
     return 0
 
 

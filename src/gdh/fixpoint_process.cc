@@ -4,9 +4,7 @@
 #include <any>
 #include <utility>
 
-#include "common/column_batch.h"
 #include "common/logging.h"
-#include "common/serialize.h"
 
 namespace prisma::gdh {
 
@@ -30,13 +28,24 @@ void FixpointPeProcess::OnStart() {
       "fixpoint#" + std::to_string(config_.index), config_.edge_schema,
       std::move(ofm_options));
   *edge_channels_ = exec::InboundChannelSet(config_.edge_producers);
+  ConsumerPlane::Config plane;
+  plane.coordinator = config_.coordinator;
+  plane.index = config_.index;
+  plane.credit_window = config_.credit_window;
+  plane.reply_resend_ns = config_.resend_ns;
+  plane.tuple_ns = config_.costs.tuple_ns;
   if (config_.metrics != nullptr) {
     const obs::Labels labels = {{"pe", std::to_string(config_.index)}};
-    m_batches_received_ =
+    plane.batches_received =
         config_.metrics->GetCounter("fixpoint.batches_received", labels);
+    plane.dup_batches = [this] {
+      return config_.metrics->GetCounter(
+          "fixpoint.dup_batches", {{"pe", std::to_string(config_.index)}});
+    };
     m_batches_sent_ =
         config_.metrics->GetCounter("fixpoint.batches_sent", labels);
   }
+  plane_.Start(this, std::move(plane));
 }
 
 // Handler contract (D5): a fixpoint PE consumes the recursive-query data
@@ -64,12 +73,7 @@ void FixpointPeProcess::OnMail(const pool::Mail& mail) {
              kControlBits);
     vote_timer_.Rearm();
   } else if (mail.kind == kMailExchangeReplyResend) {
-    if (!reply_timer_.Fire()) return;
-    auto reply = std::any_cast<std::shared_ptr<ExecPlanReply>>(mail.body);
-    SendMail(config_.coordinator, kMailExecPlanReply, reply,
-             reply->WireBits());
-    // The last retransmission leaves no timer behind.
-    if (!reply_timer_.spent()) reply_timer_.Rearm();
+    plane_.ResendReply(mail);
   }
   // Unknown kinds are ignored (forward compatibility).
 }
@@ -126,42 +130,15 @@ void FixpointPeProcess::HandleBatch(const pool::Mail& mail) {
     }
   }
 
-  exec::TupleBatch batch;
-  batch.seq = msg->seq;
-  batch.eos = msg->eos;
-  auto rows_or = TupleBatchRows(*msg);
-  if (!rows_or.ok()) {
-    // An undecodable frame can never become deliverable; degrade the
-    // whole fixpoint instead of stalling the peer's retry budget.
-    Fail(rows_or.status());
+  // An undecodable frame degrades the whole fixpoint.
+  if (Status status = plane_.Receive(*msg, *channels); !status.ok()) {
+    Fail(std::move(status));
     return;
   }
-  batch.tuples = std::move(rows_or).value();
-  const size_t rows = batch.tuples.size();
-  if (channels->Offer(msg->producer, std::move(batch))) {
-    ChargeCpu(static_cast<sim::SimTime>(rows) * config_.costs.tuple_ns);
-    if (m_batches_received_ != nullptr) m_batches_received_->Increment();
-  } else if (config_.metrics != nullptr) {
-    if (m_dup_batches_ == nullptr) {
-      // Registered on first duplicate so fault-free dumps are unchanged.
-      m_dup_batches_ = config_.metrics->GetCounter(
-          "fixpoint.dup_batches", {{"pe", std::to_string(config_.index)}});
-    }
-    m_dup_batches_->Increment();
-  }
-
-  // Advance first: draining moves the channel's cumulative ack point, so
-  // acking afterwards covers this very batch (DESIGN.md §10.2).
   const Arrival arrival{msg->side, msg->producer};
   Advance(&arrival);
   if (failed_) return;  // Advancing may have degraded; stop acking.
-
-  auto ack = std::make_shared<BatchAckMsg>();
-  ack->shuffle_token = msg->shuffle_token;
-  ack->consumer = config_.index;
-  ack->ack = channels->ack(msg->producer);
-  ack->credit = config_.credit_window;
-  SendMail(mail.from, kMailBatchAck, std::move(ack), kControlBits);
+  plane_.Ack(mail, *msg, *channels);
 }
 
 void FixpointPeProcess::HandleAck(const pool::Mail& mail) {
@@ -294,18 +271,9 @@ void FixpointPeProcess::SendBatchMsg(uint64_t token, OutStream& out,
   msg->side = out.side;
   msg->producer = config_.index;
   msg->shuffle_token = token;
-  msg->seq = batch.seq;
-  msg->eos = batch.eos;
-  if (config_.columnar) {
-    msg->column_frame = std::make_shared<const std::string>(
-        SerializeColumnBatch(ColumnBatch::FromTuples(*batch.tuples)));
-  } else {
-    msg->tuples = batch.tuples;
-  }
-  const int64_t bits = msg->WireBits();
-  // Marshalling cost, mirroring the receiver's per-tuple unmarshal charge.
-  ChargeCpu(static_cast<sim::SimTime>(batch.tuples->size()) *
-            config_.costs.tuple_ns);
+  const int64_t bits = FrameTupleBatch(
+      batch, config_.columnar, config_.costs.tuple_ns,
+      [this](sim::SimTime ns) { ChargeCpu(ns); }, msg.get());
   if (first) {
     // First transmissions only: the per-round shipping-cost axis must not
     // vary with fault-plan luck beyond what the seed already fixes.
@@ -430,15 +398,7 @@ void FixpointPeProcess::SendReply(Status status) {
               config_.costs.tuple_ns);
     reply->tuples = std::make_shared<std::vector<Tuple>>(std::move(slice));
   }
-  SendMail(config_.coordinator, kMailExecPlanReply, reply,
-           reply->WireBits());
-  // Retransmit until the coordinator kills us at statement completion.
-  if (config_.resend_ns > 0) {
-    reply_timer_.Arm(this,
-                     pool::RetryPolicy::Every(config_.resend_ns,
-                                              kOrphanResendBudget),
-                     kMailExchangeReplyResend, reply);
-  }
+  plane_.Reply(std::move(reply));
 }
 
 void FixpointPeProcess::Fail(Status status) {

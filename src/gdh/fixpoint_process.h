@@ -12,6 +12,7 @@
 #include "exec/fixpoint.h"
 #include "exec/ofm.h"
 #include "gdh/messages.h"
+#include "gdh/stage_consumer.h"
 #include "obs/metrics.h"
 #include "pool/owned.h"
 #include "pool/retransmit.h"
@@ -167,13 +168,11 @@ class FixpointPeProcess : public pool::Process {
   /// Resends the latest vote until the coordinator advances; armed once,
   /// it keeps running across rounds.
   pool::RetryTimer vote_timer_;
-  /// Resends the final reply (the timer mail carries it).
-  pool::RetryTimer reply_timer_;
+  /// Receipt, acks and the final reply with its retransmission.
+  ConsumerPlane plane_;
 
-  obs::Counter* m_batches_received_ = nullptr;
   obs::Counter* m_batches_sent_ = nullptr;
-  obs::Counter* m_dup_batches_ = nullptr;     // Lazy: fault paths only.
-  obs::Counter* m_retransmits_ = nullptr;     // Lazy: fault paths only.
+  obs::Counter* m_retransmits_ = nullptr;  // Lazy: fault paths only.
 };
 
 }  // namespace prisma::gdh

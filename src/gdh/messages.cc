@@ -15,6 +15,23 @@ StatusOr<std::vector<Tuple>> TupleBatchRows(const TupleBatchMsg& msg) {
   return std::vector<Tuple>();
 }
 
+int64_t FrameTupleBatch(const exec::OutboundBatch& batch, bool columnar,
+                        sim::SimTime tuple_ns,
+                        const std::function<void(sim::SimTime)>& charge,
+                        TupleBatchMsg* msg) {
+  msg->seq = batch.seq;
+  msg->eos = batch.eos;
+  if (columnar) {
+    msg->column_frame = std::make_shared<const std::string>(
+        SerializeColumnBatch(ColumnBatch::FromTuples(*batch.tuples)));
+  } else {
+    msg->tuples = batch.tuples;
+  }
+  const int64_t bits = msg->WireBits();
+  charge(static_cast<sim::SimTime>(batch.tuples->size()) * tuple_ns);
+  return bits;
+}
+
 int CompareSortKeyTuples(const Tuple& a, const Tuple& b,
                          const std::vector<bool>& desc) {
   for (size_t k = 0; k < a.size() && k < b.size(); ++k) {

@@ -2,6 +2,7 @@
 #define PRISMA_GDH_MESSAGES_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -13,6 +14,7 @@
 #include "common/schema.h"
 #include "common/status.h"
 #include "common/tuple.h"
+#include "exec/exchange.h"
 #include "exec/ofm.h"
 #include "obs/query_profile.h"
 #include "pool/retransmit.h"
@@ -280,10 +282,22 @@ struct TupleBatchMsg {
 };
 
 /// Decodes the payload of a tuple-batch frame into rows, whichever
-/// encoding it carries. Both exchange decode sites (consumer processes
-/// and fixpoint partitions) funnel through this helper so the two wire
-/// formats stay interchangeable.
+/// encoding it carries. Every decode site (the consumer data plane of
+/// stage consumers and fixpoint partitions) funnels through this helper
+/// so the two wire formats stay interchangeable.
 StatusOr<std::vector<Tuple>> TupleBatchRows(const TupleBatchMsg& msg);
+
+/// Frames outbound `batch` into `msg`, whose routing fields the sender has
+/// set: row-encoded, or as a serialized ColumnBatch when `columnar`
+/// (DESIGN.md §12), whose byte length is then the modelled payload size.
+/// Charges the per-tuple marshalling, which mirrors the consumer's
+/// unmarshal charge, and returns the frame's wire bits. Every batch
+/// sender (shuffle producers, resync sources, fixpoint delta streams)
+/// frames through this helper.
+int64_t FrameTupleBatch(const exec::OutboundBatch& batch, bool columnar,
+                        sim::SimTime tuple_ns,
+                        const std::function<void(sim::SimTime)>& charge,
+                        TupleBatchMsg* msg);
 
 /// Lexicographic comparison of two already-projected sort-key tuples
 /// under per-key descending flags — exactly the ordering exec::Executor's

@@ -4,9 +4,7 @@
 #include <optional>
 #include <utility>
 
-#include "common/column_batch.h"
 #include "common/logging.h"
-#include "common/serialize.h"
 
 namespace prisma::gdh {
 
@@ -491,21 +489,11 @@ int64_t OfmProcess::SendBatch(const ShuffleState& state,
   msg->side = state.side;
   msg->producer = state.producer;
   msg->shuffle_token = state.token;
-  msg->seq = batch.seq;
-  msg->eos = batch.eos;
-  if (state.columnar) {
-    // Column-encoded frame (DESIGN.md §12): the serialized byte length is
-    // the modelled payload size, so format savings show up in
-    // exchange.wire_bits / exchange.bytes instead of being assumed.
-    msg->column_frame = std::make_shared<const std::string>(
-        SerializeColumnBatch(ColumnBatch::FromTuples(*batch.tuples)));
-  } else {
-    msg->tuples = batch.tuples;
-  }
-  const int64_t bits = msg->WireBits();
-  // Marshalling cost, mirroring the consumer's per-tuple unmarshal charge.
-  ChargeCpu(static_cast<sim::SimTime>(batch.tuples->size()) *
-            config_.ofm.exec.costs.tuple_ns);
+  // A columnar frame's measured size shows format savings in
+  // exchange.wire_bits / exchange.bytes instead of assuming them.
+  const int64_t bits =
+      FrameTupleBatch(batch, state.columnar, config_.ofm.exec.costs.tuple_ns,
+                      config_.ofm.exec.charge, msg.get());
   if (m_batches_sent_ != nullptr) {
     m_batches_sent_->Increment();
     m_exchange_bytes_->Increment((bits - kControlBits) / 8);
@@ -729,18 +717,10 @@ void OfmProcess::SendResyncBatch(ResyncSource& source,
   auto msg = std::make_shared<TupleBatchMsg>();
   msg->exchange_id = source.resync_id;
   msg->shuffle_token = source.token;
-  msg->seq = batch.seq;
-  msg->eos = batch.eos;
-  if (source.columnar) {
-    msg->column_frame = std::make_shared<const std::string>(
-        SerializeColumnBatch(ColumnBatch::FromTuples(*batch.tuples)));
-  } else {
-    msg->tuples = batch.tuples;
-  }
-  const int64_t bits = msg->WireBits();
+  const int64_t bits =
+      FrameTupleBatch(batch, source.columnar, config_.ofm.exec.costs.tuple_ns,
+                      config_.ofm.exec.charge, msg.get());
   source.wire_bits += static_cast<uint64_t>(bits);
-  ChargeCpu(static_cast<sim::SimTime>(batch.tuples->size()) *
-            config_.ofm.exec.costs.tuple_ns);
   if (m_batches_sent_ != nullptr) {
     m_batches_sent_->Increment();
     m_exchange_bytes_->Increment((bits - kControlBits) / 8);

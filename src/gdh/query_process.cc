@@ -7,9 +7,7 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "gdh/exchange_process.h"
 #include "gdh/fixpoint_process.h"
-#include "gdh/olap_process.h"
 #include "prismalog/engine.h"
 #include "prismalog/parser.h"
 #include "sql/binder.h"
@@ -570,6 +568,70 @@ void QueryProcess::Scatter() {
   }
 }
 
+std::vector<pool::ProcessId> QueryProcess::SpawnStageConsumers(
+    size_t part_index, uint64_t exchange_id, const TableInfo& anchor,
+    const SinkFactory& make_sink) {
+  std::vector<pool::ProcessId> consumers;
+  consumers.reserve(anchor.fragments.size());
+  for (size_t c = 0; c < anchor.fragments.size(); ++c) {
+    const FragmentInfo& frag = anchor.fragments[c];
+    // Read routing: the consumer co-locates with whichever anchor replica
+    // currently serves reads.
+    const int replica = ChooseReadReplica(frag);
+    StageConsumerProcess::Config cc;
+    cc.exchange_id = exchange_id;
+    cc.index = c;
+    cc.fragment = frag.ReplicaName(replica);
+    cc.coordinator = self();
+    cc.reply_request_id = next_request_id_++;
+    cc.exec.expr_mode = config_.expr_mode;
+    cc.exec.exec_mode = config_.exec_mode;
+    cc.exec.costs = config_.costs;
+    cc.credit_window = config_.exchange_credit_window;
+    cc.reply_resend_ns = config_.resend_ns;
+    cc.metrics = config_.metrics;
+    request_part_[cc.reply_request_id] = part_index;
+    std::unique_ptr<StageSink> sink =
+        make_sink(c, cc.fragment, cc.reply_request_id);
+    const pool::ProcessId pid = runtime()->Spawn(
+        frag.ReplicaPe(replica),
+        std::make_unique<StageConsumerProcess>(std::move(cc),
+                                               std::move(sink)));
+    consumer_pids_.push_back(pid);
+    consumers.push_back(pid);
+  }
+  return consumers;
+}
+
+void QueryProcess::AppendShuffleProducers(size_t part_index,
+                                          const ShufflePlanRequest& routing,
+                                          const std::string& table_name,
+                                          const TableInfo& table,
+                                          const algebra::Plan& plan,
+                                          bool primary_only) {
+  for (size_t f = 0; f < table.fragments.size(); ++f) {
+    const FragmentInfo& frag = table.fragments[f];
+    const int replica = primary_only ? 0 : ChooseReadReplica(frag);
+    auto request = std::make_shared<ShufflePlanRequest>(routing);
+    request->request_id = next_request_id_++;
+    request->producer = f;
+    request->plan = std::shared_ptr<const algebra::Plan>(
+        CloneWithScanRenamed(plan, table_name, frag.ReplicaName(replica)));
+    request->batch_rows = config_.exchange_batch_rows;
+    request->credit_window = config_.exchange_credit_window;
+    request->exec_mode = config_.exec_mode;
+    FragmentWork w;
+    w.ofm = frag.ReplicaOfm(replica);
+    w.plan = request->plan;
+    w.part = part_index;
+    w.table = table_name;
+    w.fragment = frag.name;
+    w.replica = replica;
+    w.shuffle = std::move(request);
+    work_->push_back(std::move(w));
+  }
+}
+
 size_t QueryProcess::ScatterExchangePart(size_t part_index) {
   const LocalPart& part = split_->parts[part_index];
   const ExchangeJoinSpec& ex = *part.exchange;
@@ -577,7 +639,6 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
   auto left_or = config_.dictionary->GetTable(ex.left_table);
   auto right_or = config_.dictionary->GetTable(ex.right_table);
   PRISMA_CHECK(anchor_or.ok() && left_or.ok() && right_or.ok());
-  const TableInfo* anchor = *anchor_or;
   const TableInfo* sides[2] = {*left_or, *right_or};
   const std::string side_tables[2] = {ex.left_table, ex.right_table};
   const std::shared_ptr<const algebra::Plan> side_plans[2] = {ex.left_plan,
@@ -587,91 +648,46 @@ size_t QueryProcess::ScatterExchangePart(size_t part_index) {
   // can never be mistaken for this one's.
   const uint64_t exchange_id = (config_.statement->request_id << 16) |
                                static_cast<uint64_t>(part_index);
+
+  // One join consumer per anchor fragment. The stationary side is the
+  // anchor table: each consumer rescans its own co-located replica.
+  const std::vector<pool::ProcessId> consumers = SpawnStageConsumers(
+      part_index, exchange_id, **anchor_or,
+      [&](size_t, const std::string& anchor_name, uint64_t) {
+        HashJoinSink::Config sink;
+        for (int s = 0; s < 2; ++s) {
+          HashJoinSink::SideSpec& spec = s == 0 ? sink.left : sink.right;
+          spec.moving = ExchangeSideMoves(ex.strategy, s);
+          if (spec.moving) {
+            spec.producers = sides[s]->fragments.size();
+          } else {
+            spec.local_plan =
+                std::shared_ptr<const algebra::Plan>(CloneWithScanRenamed(
+                    *side_plans[s], side_tables[s], anchor_name));
+          }
+        }
+        sink.build_side = ex.build_side;
+        sink.keys = ex.keys;
+        sink.predicate = ex.predicate;
+        sink.registry = config_.registry;
+        return std::make_unique<HashJoinSink>(std::move(sink));
+      });
+
+  // One producer per fragment of each moving side.
   const bool broadcast = ex.strategy == ExchangeStrategy::kBroadcastLeft ||
                          ex.strategy == ExchangeStrategy::kBroadcastRight;
-
-  // One consumer per anchor fragment, co-located with it. Consumers are
-  // not RPC targets (nothing is retransmitted *to* them); their replies
-  // are counted into the gather via request_part_, and a lost reply is
-  // repaired by the consumer's own resend timer.
-  std::vector<pool::ProcessId> consumers;
-  consumers.reserve(anchor->fragments.size());
-  for (size_t c = 0; c < anchor->fragments.size(); ++c) {
-    const FragmentInfo& frag = anchor->fragments[c];
-    // Read routing: the consumer co-locates with whichever anchor replica
-    // currently serves reads, and rescans that replica's fragment.
-    const int replica = ChooseReadReplica(frag);
-    const std::string anchor_name = frag.ReplicaName(replica);
-    ExchangeConsumerProcess::Config cc;
-    cc.exchange_id = exchange_id;
-    cc.index = c;
-    cc.fragment = anchor_name;
-    cc.coordinator = self();
-    cc.reply_request_id = next_request_id_++;
-    for (int s = 0; s < 2; ++s) {
-      ExchangeConsumerProcess::SideSpec& spec = s == 0 ? cc.left : cc.right;
-      spec.moving = ExchangeSideMoves(ex.strategy, s);
-      if (spec.moving) {
-        spec.producers = sides[s]->fragments.size();
-      } else {
-        // The stationary side is the anchor table: this consumer rescans
-        // its own co-located fragment.
-        spec.local_plan =
-            std::shared_ptr<const algebra::Plan>(CloneWithScanRenamed(
-                *side_plans[s], side_tables[s], anchor_name));
-      }
-    }
-    cc.build_side = ex.build_side;
-    cc.keys = ex.keys;
-    cc.predicate = ex.predicate;
-    cc.expr_mode = config_.expr_mode;
-    cc.exec_mode = config_.exec_mode;
-    cc.costs = config_.costs;
-    cc.registry = config_.registry;
-    cc.credit_window = config_.exchange_credit_window;
-    cc.reply_resend_ns = config_.resend_ns;
-    cc.metrics = config_.metrics;
-    request_part_[cc.reply_request_id] = part_index;
-    const pool::ProcessId pid = runtime()->Spawn(
-        frag.ReplicaPe(replica),
-        std::make_unique<ExchangeConsumerProcess>(std::move(cc)));
-    consumer_pids_.push_back(pid);
-    consumers.push_back(pid);
-  }
-
-  // One producer work entry per fragment of each moving side; these go
-  // through the hardened-RPC path like plain fragment plans.
   for (int s = 0; s < 2; ++s) {
     if (!ExchangeSideMoves(ex.strategy, s)) continue;
-    for (size_t f = 0; f < sides[s]->fragments.size(); ++f) {
-      const FragmentInfo& frag = sides[s]->fragments[f];
-      const int replica = ChooseReadReplica(frag);
-      auto request = std::make_shared<ShufflePlanRequest>();
-      request->request_id = next_request_id_++;
-      request->exchange_id = exchange_id;
-      request->side = s;
-      request->producer = f;
-      request->plan =
-          std::shared_ptr<const algebra::Plan>(CloneWithScanRenamed(
-              *side_plans[s], side_tables[s], frag.ReplicaName(replica)));
-      request->mode = broadcast ? ShufflePlanRequest::Mode::kBroadcast
-                                : ShufflePlanRequest::Mode::kHash;
-      request->partition_column =
-          s == 0 ? ex.keys[ex.route_key].first : ex.keys[ex.route_key].second;
-      request->consumers = consumers;
-      request->batch_rows = config_.exchange_batch_rows;
-      request->credit_window = config_.exchange_credit_window;
-      request->exec_mode = config_.exec_mode;
-      FragmentWork w;
-      w.ofm = frag.ReplicaOfm(replica);
-      w.plan = request->plan;
-      w.part = part_index;
-      w.table = side_tables[s];
-      w.fragment = frag.name;
-      w.replica = replica;
-      w.shuffle = request;
-      work_->push_back(std::move(w));
-    }
+    ShufflePlanRequest routing;
+    routing.exchange_id = exchange_id;
+    routing.side = s;
+    routing.mode = broadcast ? ShufflePlanRequest::Mode::kBroadcast
+                             : ShufflePlanRequest::Mode::kHash;
+    routing.partition_column =
+        s == 0 ? ex.keys[ex.route_key].first : ex.keys[ex.route_key].second;
+    routing.consumers = consumers;
+    AppendShuffleProducers(part_index, routing, side_tables[s], *sides[s],
+                           *side_plans[s], /*primary_only=*/false);
   }
   return consumers.size();
 }
@@ -726,81 +742,44 @@ void QueryProcess::LaunchOlapShuffle(
   auto info_or = config_.dictionary->GetTable(olap.table);
   PRISMA_CHECK(info_or.ok());
   const TableInfo& table = **info_or;
-  const size_t fragments = table.fragments.size();
   // Statement-unique exchange id, same convention as exchange joins.
   const uint64_t exchange_id = (config_.statement->request_id << 16) |
                                static_cast<uint64_t>(part_index);
 
-  // One merge consumer per fragment, co-located with whichever replica
-  // currently serves reads (the input arrives over channels; co-location
-  // just spreads merge CPU across the machine).
-  std::vector<pool::ProcessId> consumers;
-  consumers.reserve(fragments);
-  const Schema input_schema = olap.producer_plan->schema();
-  for (size_t c = 0; c < fragments; ++c) {
-    const FragmentInfo& frag = table.fragments[c];
-    const int replica = ChooseReadReplica(frag);
-    OlapMergeProcess::Config cc;
-    cc.exchange_id = exchange_id;
-    cc.index = c;
-    cc.fragment = frag.ReplicaName(replica);
-    cc.coordinator = self();
-    cc.reply_request_id = next_request_id_++;
-    cc.producers = fragments;
-    cc.input_schema = input_schema;
-    cc.merge_plan = olap.merge_plan;
-    cc.expr_mode = config_.expr_mode;
-    cc.exec_mode = config_.exec_mode;
-    cc.costs = config_.costs;
-    cc.credit_window = config_.exchange_credit_window;
-    cc.reply_resend_ns = config_.resend_ns;
-    cc.metrics = config_.metrics;
-    request_part_[cc.reply_request_id] = part_index;
-    olap_merge_of_[cc.reply_request_id] = {part_index, c};
-    const pool::ProcessId pid = runtime()->Spawn(
-        frag.ReplicaPe(replica),
-        std::make_unique<OlapMergeProcess>(std::move(cc)));
-    consumer_pids_.push_back(pid);
-    consumers.push_back(pid);
-  }
+  // One merge consumer per fragment (the input arrives over channels;
+  // co-location just spreads merge CPU across the machine).
+  const std::vector<pool::ProcessId> consumers = SpawnStageConsumers(
+      part_index, exchange_id, table,
+      [&](size_t c, const std::string&, uint64_t reply_id) {
+        olap_merge_of_[reply_id] = {part_index, c};
+        MergeSink::Config sink;
+        sink.producers = table.fragments.size();
+        sink.input_schema = olap.producer_plan->schema();
+        sink.merge_plan = olap.merge_plan;
+        return std::make_unique<MergeSink>(std::move(sink));
+      });
 
-  // One shuffle producer per fragment, through the hardened-RPC path.
-  for (size_t f = 0; f < fragments; ++f) {
-    const FragmentInfo& frag = table.fragments[f];
-    const int replica = ChooseReadReplica(frag);
-    auto request = std::make_shared<ShufflePlanRequest>();
-    request->request_id = next_request_id_++;
-    request->exchange_id = exchange_id;
-    request->side = 0;
-    request->producer = f;
-    request->plan = std::shared_ptr<const algebra::Plan>(CloneWithScanRenamed(
-        *olap.producer_plan, olap.table, frag.ReplicaName(replica)));
-    if (olap.kind == OlapSpec::Kind::kSort) {
-      request->mode = ShufflePlanRequest::Mode::kRange;
-      request->sort_columns = olap.sort_columns;
-      request->sort_desc = olap.sort_desc;
-      request->boundaries = boundaries;
-    } else {
-      request->mode = ShufflePlanRequest::Mode::kHash;
-      request->partition_column = olap.partition_column;
-      // A NULL group key is still a group (unlike a join key, which can
-      // never match): route NULLs to consumer 0 instead of dropping.
-      request->keep_nulls = true;
-    }
-    request->consumers = consumers;
-    request->batch_rows = config_.exchange_batch_rows;
-    request->credit_window = config_.exchange_credit_window;
-    request->exec_mode = config_.exec_mode;
-    olap_producer_ids_.insert(request->request_id);
-    FragmentWork w;
-    w.ofm = frag.ReplicaOfm(replica);
-    w.plan = request->plan;
-    w.part = part_index;
-    w.table = olap.table;
-    w.fragment = frag.name;
-    w.replica = replica;
-    w.shuffle = request;
-    work_->push_back(std::move(w));
+  // One shuffle producer per fragment.
+  ShufflePlanRequest routing;
+  routing.exchange_id = exchange_id;
+  if (olap.kind == OlapSpec::Kind::kSort) {
+    routing.mode = ShufflePlanRequest::Mode::kRange;
+    routing.sort_columns = olap.sort_columns;
+    routing.sort_desc = olap.sort_desc;
+    routing.boundaries = std::move(boundaries);
+  } else {
+    routing.mode = ShufflePlanRequest::Mode::kHash;
+    routing.partition_column = olap.partition_column;
+    // A NULL group key is still a group (unlike a join key, which can
+    // never match): route NULLs to consumer 0 instead of dropping.
+    routing.keep_nulls = true;
+  }
+  routing.consumers = consumers;
+  const size_t first_producer = work_->size();
+  AppendShuffleProducers(part_index, routing, olap.table, table,
+                         *olap.producer_plan, /*primary_only=*/false);
+  for (size_t i = first_producer; i < work_->size(); ++i) {
+    olap_producer_ids_.insert((*work_)[i].shuffle->request_id);
   }
   if (send_now && config_.rules.parallel_fragments) {
     while (next_work_ < work_->size()) SendNextFragmentPlan();
@@ -1365,33 +1344,16 @@ void QueryProcess::ScatterFixpoint() {
 
   // Edge shuffle (side 0): every fragment OFM streams its slice to every
   // partition through the ordinary shuffle-producer path, hardened-RPC
-  // and all.
-  std::shared_ptr<const algebra::Plan> scan =
-      algebra::ScanPlan::Create(fx_edge_table_, table.schema);
-  for (size_t f = 0; f < fx_num_pes_; ++f) {
-    const FragmentInfo& frag = table.fragments[f];
-    auto request = std::make_shared<ShufflePlanRequest>();
-    request->request_id = next_request_id_++;
-    request->exchange_id = fixpoint_id_;
-    request->side = 0;
-    request->producer = f;
-    request->plan = std::shared_ptr<const algebra::Plan>(
-        CloneWithScanRenamed(*scan, fx_edge_table_, frag.name));
-    request->mode = ShufflePlanRequest::Mode::kHash;
-    request->partition_column = 0;
-    request->consumers = pids;
-    request->batch_rows = config_.exchange_batch_rows;
-    request->credit_window = config_.exchange_credit_window;
-    request->exec_mode = config_.exec_mode;
-    FragmentWork w;
-    w.ofm = frag.ofm;
-    w.plan = request->plan;
-    w.part = 0;
-    w.table = fx_edge_table_;
-    w.fragment = frag.name;
-    w.shuffle = request;
-    work_->push_back(std::move(w));
-  }
+  // and all. Edges are read from the primaries.
+  ShufflePlanRequest routing;
+  routing.exchange_id = fixpoint_id_;
+  routing.mode = ShufflePlanRequest::Mode::kHash;
+  routing.partition_column = 0;
+  routing.consumers = pids;
+  AppendShuffleProducers(
+      0, routing, fx_edge_table_, table,
+      *algebra::ScanPlan::Create(fx_edge_table_, table.schema),
+      /*primary_only=*/true);
   next_work_ = 0;
   outstanding_ = 0;
   completed_ = 0;

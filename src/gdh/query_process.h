@@ -2,6 +2,7 @@
 #define PRISMA_GDH_QUERY_PROCESS_H_
 
 #include <any>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -18,6 +19,7 @@
 #include "gdh/pe_registry.h"
 #include "gdh/plan_cache.h"
 #include "gdh/stage.h"
+#include "gdh/stage_consumer.h"
 #include "obs/metrics.h"
 #include "obs/query_profile.h"
 #include "obs/trace.h"
@@ -185,7 +187,29 @@ class QueryProcess : public pool::Process {
   /// "fragment <replica-name> on PE <n>" for the replica `w` is aimed at;
   /// fills *pe with that replica's PE (degradation reporting).
   std::string DescribeWorkTarget(const FragmentWork& w, net::NodeId* pe) const;
-  /// Builds the consumer processes and producer work entries of one
+  /// Builds consumer c's sink, given the name of the anchor replica it
+  /// co-locates with and the request id of its reply.
+  using SinkFactory = std::function<std::unique_ptr<StageSink>(
+      size_t c, const std::string& anchor_name, uint64_t reply_id)>;
+  /// Spawns one stage consumer per fragment of `anchor`, on whichever
+  /// replica currently serves reads, and returns their pids in consumer
+  /// order. Consumers are not RPC targets (nothing is retransmitted *to*
+  /// them): their replies count into the gather via request_part_, and a
+  /// lost reply is repaired by the consumer's own resend timer.
+  std::vector<pool::ProcessId> SpawnStageConsumers(
+      size_t part_index, uint64_t exchange_id, const TableInfo& anchor,
+      const SinkFactory& make_sink);
+  /// Appends one shuffle-producer work entry per fragment of `table`: it
+  /// runs `plan` with its scan retargeted at the fragment's read replica
+  /// (the primary when `primary_only`) and streams the result as
+  /// `routing` says (exchange id, side, mode, consumers). Producers go
+  /// through the hardened-RPC path like plain fragment plans.
+  void AppendShuffleProducers(size_t part_index,
+                              const ShufflePlanRequest& routing,
+                              const std::string& table_name,
+                              const TableInfo& table,
+                              const algebra::Plan& plan, bool primary_only);
+  /// Builds the join consumers and producer work entries of one
   /// exchange-lowered join part; returns the number of consumer replies
   /// the gather now additionally waits for.
   size_t ScatterExchangePart(size_t part_index);

@@ -115,11 +115,33 @@ class Process {
 
  private:
   friend class Runtime;
-  friend class RetryTimer;  // Both send on their owner's behalf.
+  friend class RetryTimer;  // All three act on their owner's behalf.
   friend class PendingRpcTable;
+  friend class ProcessPart;
   Runtime* runtime_ = nullptr;
   ProcessId id_ = kNoProcess;
   net::NodeId pe_ = -1;
+};
+
+/// A component that works inside its owner's handlers: it charges the
+/// owner's CPU and sends mail on the owner's behalf (the consumer data
+/// plane of gdh/stage_consumer.h).
+class ProcessPart {
+ public:
+  /// Binds the part to the process whose handlers call it.
+  void Attach(Process* owner) { owner_ = owner; }
+
+ protected:
+  void ChargeCpu(sim::SimTime ns) { owner_->ChargeCpu(ns); }
+  template <typename Body>
+  void SendMail(ProcessId to, const char* kind, Body&& body,
+                int64_t size_bits) {
+    owner_->SendMail(to, kind, std::forward<Body>(body), size_bits);
+  }
+  Process* owner() const { return owner_; }
+
+ private:
+  Process* owner_ = nullptr;
 };
 
 /// The POOL-X runtime: owns all processes, binds them to PEs, and moves

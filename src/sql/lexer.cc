@@ -1,6 +1,8 @@
 #include "sql/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <system_error>
 
 #include "common/str_util.h"
 
@@ -61,12 +63,19 @@ StatusOr<std::vector<Token>> Tokenize(const std::string& input) {
         }
       }
       const std::string num = input.substr(i, j - i);
+      const char* const end = num.data() + num.size();
+      std::from_chars_result parsed;
       if (is_double) {
         t.kind = TokenKind::kDoubleLiteral;
-        t.double_value = std::stod(num);
+        parsed = std::from_chars(num.data(), end, t.double_value);
       } else {
         t.kind = TokenKind::kIntLiteral;
-        t.int_value = std::stoll(num);
+        parsed = std::from_chars(num.data(), end, t.int_value);
+      }
+      if (parsed.ec != std::errc()) {
+        return InvalidArgumentError(
+            StrFormat("numeric literal %s at offset %zu is out of range",
+                      num.c_str(), i));
       }
       t.text = num;
       i = j;

@@ -33,7 +33,7 @@ struct Token {
 };
 
 /// Splits a SQL (or PRISMAlog) statement into tokens; fails on unknown
-/// characters and unterminated strings.
+/// characters, unterminated strings and numeric literals out of range.
 StatusOr<std::vector<Token>> Tokenize(const std::string& input);
 
 }  // namespace prisma::sql

@@ -56,6 +56,20 @@ TEST_F(PrismaDbTest, CreateInsertSelectRoundTrip) {
   EXPECT_EQ(filtered.tuples.front().at(0), Value::Int(15));
 }
 
+TEST_F(PrismaDbTest, OutOfRangeLiteralIsAStatusNotACrash) {
+  MustExecute("CREATE TABLE t (x INT) FRAGMENTED BY HASH(x) INTO 2 FRAGMENTS");
+  for (const std::string& sql :
+       {"SELECT 1" + std::string(400, '0') + ".0 AS k FROM t",
+        std::string("SELECT 99999999999999999999 FROM t")}) {
+    auto result = db_.Execute(sql);
+    ASSERT_FALSE(result.ok()) << sql;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument)
+        << result.status().ToString();
+  }
+  // The machine keeps serving afterwards.
+  EXPECT_TRUE(db_.Execute("SELECT * FROM t").ok());
+}
+
 TEST_F(PrismaDbTest, DataIsActuallyFragmentedAcrossPes) {
   MakeEmp(8, 64);
   auto info = db_.gdh().dictionary().GetTable("emp");

@@ -13,6 +13,12 @@
 #include "gdh/fragmentation.h"
 #include "gdh/lock_manager.h"
 #include "gdh/optimizer.h"
+#include "gdh/stage_consumer.h"
+#include "net/network.h"
+#include "net/topology.h"
+#include "obs/metrics.h"
+#include "pool/runtime.h"
+#include "sim/simulator.h"
 #include "storage/relation.h"
 
 namespace prisma::gdh {
@@ -729,6 +735,267 @@ TEST_F(SplitTest, CloneWithScanRenamedRetargets) {
   tables.clear();
   CollectScanTables(**select, &tables);
   EXPECT_EQ(tables, (std::vector<std::string>{"emp"}));
+}
+
+// --------------------------------------------------------- Stage consumer
+
+/// Stands in for the coordinator and every producer of one stage
+/// consumer: sends scripted tuple batches and records the mail that comes
+/// back (acks and replies) with its arrival time.
+class StageDriver : public pool::Process {
+ public:
+  struct Received {
+    std::string kind;
+    std::any body;
+    sim::SimTime at = 0;
+  };
+
+  void OnMail(const pool::Mail& mail) override {
+    received.push_back({mail.kind, mail.body, runtime()->simulator()->now()});
+  }
+  void Send(pool::ProcessId to, std::shared_ptr<TupleBatchMsg> msg) {
+    const int64_t bits = msg->WireBits();
+    SendMail(to, kMailTupleBatch, std::move(msg), bits);
+  }
+
+  std::vector<Received> received;
+};
+
+Tuple Ints(std::initializer_list<int64_t> values) {
+  std::vector<Value> row;
+  for (const int64_t v : values) row.push_back(Value::Int(v));
+  return Tuple(std::move(row));
+}
+
+Schema IntSchema(const std::vector<std::string>& names) {
+  Schema schema;
+  for (const std::string& name : names) {
+    schema.AddColumn(name, DataType::kInt64);
+  }
+  return schema;
+}
+
+class StageConsumerTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kExchange = 77;
+  static constexpr size_t kIndex = 3;
+
+  StageConsumerTest()
+      : network_(&sim_, net::Topology::Mesh(2, 2)),
+        runtime_(&sim_, &network_) {
+    auto driver = std::make_unique<StageDriver>();
+    driver_ = driver.get();
+    driver_pid_ = runtime_.Spawn(0, std::move(driver));
+  }
+
+  void SpawnConsumer(std::unique_ptr<StageSink> sink,
+                     sim::SimTime reply_resend_ns = 0) {
+    StageConsumerProcess::Config config;
+    config.exchange_id = kExchange;
+    config.index = kIndex;
+    config.fragment = "t#0";
+    config.coordinator = driver_pid_;
+    config.reply_request_id = 9;
+    config.reply_resend_ns = reply_resend_ns;
+    config.metrics = &metrics_;
+    consumer_ = runtime_.Spawn(1, std::make_unique<StageConsumerProcess>(
+                                      std::move(config), std::move(sink)));
+    sim_.Run();
+  }
+
+  /// Sends one row-framed batch on channel (side, producer) and runs the
+  /// machine until it is quiet.
+  void Send(int side, size_t producer, uint64_t seq, bool eos,
+            std::vector<Tuple> rows, uint64_t exchange_id = kExchange) {
+    auto msg = Header(side, producer, seq, eos, exchange_id);
+    msg->tuples = std::make_shared<const std::vector<Tuple>>(std::move(rows));
+    driver_->Send(consumer_, std::move(msg));
+    sim_.Run();
+  }
+
+  std::shared_ptr<TupleBatchMsg> Header(int side, size_t producer,
+                                        uint64_t seq, bool eos,
+                                        uint64_t exchange_id = kExchange) {
+    auto msg = std::make_shared<TupleBatchMsg>();
+    msg->exchange_id = exchange_id;
+    msg->side = side;
+    msg->producer = producer;
+    msg->shuffle_token = 100 + 10 * static_cast<uint64_t>(side) + producer;
+    msg->seq = seq;
+    msg->eos = eos;
+    return msg;
+  }
+
+  /// Cumulative acks received since the last call, as (token, ack).
+  std::vector<std::pair<uint64_t, uint64_t>> TakeAcks() {
+    std::vector<std::pair<uint64_t, uint64_t>> acks;
+    for (size_t i = acks_seen_; i < driver_->received.size(); ++i) {
+      const StageDriver::Received& r = driver_->received[i];
+      if (r.kind != kMailBatchAck) continue;
+      auto ack = std::any_cast<std::shared_ptr<BatchAckMsg>>(r.body);
+      EXPECT_EQ(ack->consumer, kIndex);
+      EXPECT_EQ(ack->credit, 4u);
+      acks.emplace_back(ack->shuffle_token, ack->ack);
+    }
+    acks_seen_ = driver_->received.size();
+    return acks;
+  }
+
+  std::vector<std::pair<sim::SimTime, std::shared_ptr<ExecPlanReply>>>
+  Replies() const {
+    std::vector<std::pair<sim::SimTime, std::shared_ptr<ExecPlanReply>>> out;
+    for (const StageDriver::Received& r : driver_->received) {
+      if (r.kind != kMailExecPlanReply) continue;
+      out.emplace_back(r.at,
+                       std::any_cast<std::shared_ptr<ExecPlanReply>>(r.body));
+    }
+    return out;
+  }
+
+  uint64_t DupBatches() const {
+    return metrics_.CounterValue("exchange.dup_batches",
+                                 {{"fragment", "t#0"}});
+  }
+
+  /// Mail that must be ignored outright: a foreign exchange id, a
+  /// producer past the channel count, a side the sink has no channels on.
+  void SendStrays(int side) {
+    Send(side, 0, 1, true, {Ints({0, 0})}, kExchange + 1);
+    Send(side, 7, 1, true, {Ints({0, 0})});
+    Send(2, 0, 1, true, {Ints({0, 0})});
+    EXPECT_TRUE(TakeAcks().empty());
+    EXPECT_TRUE(Replies().empty());
+  }
+
+  std::unique_ptr<StageSink> JoinSink() {
+    HashJoinSink::Config config;
+    config.left.moving = true;
+    config.left.producers = 1;
+    config.right.moving = true;
+    config.right.producers = 1;
+    config.build_side = 0;
+    config.keys = {{0, 0}};
+    return std::make_unique<HashJoinSink>(std::move(config));
+  }
+
+  std::unique_ptr<StageSink> ScanMergeSink(size_t producers) {
+    MergeSink::Config config;
+    config.producers = producers;
+    config.input_schema = IntSchema({"k", "v"});
+    config.merge_plan = ScanPlan::Create(OlapInputName(), config.input_schema);
+    return std::make_unique<MergeSink>(std::move(config));
+  }
+
+  sim::Simulator sim_;
+  net::Network network_;
+  pool::Runtime runtime_;
+  obs::MetricsRegistry metrics_;
+  StageDriver* driver_ = nullptr;
+  pool::ProcessId driver_pid_ = pool::kNoProcess;
+  pool::ProcessId consumer_ = pool::kNoProcess;
+  size_t acks_seen_ = 0;
+};
+
+TEST_F(StageConsumerTest, HashJoinSinkReordersDedupsAndAcksEveryArrival) {
+  SpawnConsumer(JoinSink());
+  // Probe rows before the build is sealed are buffered.
+  Send(1, 0, 1, false, {Ints({3, 300}), Ints({2, 200})});
+  EXPECT_EQ(TakeAcks(), (std::vector<std::pair<uint64_t, uint64_t>>{
+                            {110, 1}}));
+  // The build's last batch arrives first: nothing is deliverable yet.
+  Send(0, 0, 2, true, {Ints({3, 30})});
+  EXPECT_EQ(TakeAcks(),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{100, 0}}));
+  Send(0, 0, 1, false, {Ints({1, 10}), Ints({2, 20})});
+  EXPECT_EQ(TakeAcks(),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{100, 2}}));
+  // A duplicate is counted and re-acked with the cumulative ack.
+  Send(0, 0, 1, false, {Ints({1, 10}), Ints({2, 20})});
+  EXPECT_EQ(TakeAcks(),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{100, 2}}));
+  EXPECT_EQ(DupBatches(), 1u);
+  SendStrays(1);
+  EXPECT_EQ(DupBatches(), 1u);
+
+  Send(1, 0, 2, true, {Ints({3, 301}), Ints({4, 400})});
+  EXPECT_EQ(TakeAcks(),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{110, 2}}));
+  auto replies = Replies();
+  ASSERT_EQ(replies.size(), 1u);
+  const ExecPlanReply& reply = *replies[0].second;
+  EXPECT_TRUE(reply.status.ok()) << reply.status.ToString();
+  EXPECT_EQ(reply.request_id, 9u);
+  EXPECT_EQ(reply.fragment, "t#0");
+  ASSERT_NE(reply.tuples, nullptr);
+  // Probe order, each probe row against the sealed build table.
+  EXPECT_EQ(*reply.tuples,
+            (std::vector<Tuple>{Ints({3, 30, 3, 300}), Ints({2, 20, 2, 200}),
+                                Ints({3, 30, 3, 301})}));
+}
+
+TEST_F(StageConsumerTest, MergeSinkReordersDedupsAndAcksEveryArrival) {
+  SpawnConsumer(ScanMergeSink(2));
+  Send(0, 0, 2, true, {Ints({3, 0}), Ints({4, 0})});
+  EXPECT_EQ(TakeAcks(),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{100, 0}}));
+  Send(0, 0, 1, false, {Ints({1, 0}), Ints({2, 0})});
+  EXPECT_EQ(TakeAcks(),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{100, 2}}));
+  Send(0, 0, 2, true, {Ints({3, 0}), Ints({4, 0})});
+  EXPECT_EQ(TakeAcks(),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{100, 2}}));
+  EXPECT_EQ(DupBatches(), 1u);
+  SendStrays(0);
+
+  Send(0, 1, 1, true, {Ints({5, 0})});
+  EXPECT_EQ(TakeAcks(),
+            (std::vector<std::pair<uint64_t, uint64_t>>{{101, 1}}));
+  auto replies = Replies();
+  ASSERT_EQ(replies.size(), 1u);
+  const ExecPlanReply& reply = *replies[0].second;
+  EXPECT_TRUE(reply.status.ok()) << reply.status.ToString();
+  ASSERT_NE(reply.tuples, nullptr);
+  EXPECT_EQ(*reply.tuples,
+            (std::vector<Tuple>{Ints({1, 0}), Ints({2, 0}), Ints({3, 0}),
+                                Ints({4, 0}), Ints({5, 0})}));
+}
+
+TEST_F(StageConsumerTest, CorruptFrameFailsOnceInsteadOfStalling) {
+  SpawnConsumer(JoinSink());
+  auto corrupt = [this] {
+    auto msg = Header(0, 0, 1, false);
+    msg->column_frame = std::make_shared<const std::string>("not a frame");
+    driver_->Send(consumer_, std::move(msg));
+    sim_.Run();
+  };
+  corrupt();
+  // An undecodable frame is never acked: it cannot become deliverable.
+  EXPECT_TRUE(TakeAcks().empty());
+  corrupt();
+  auto replies = Replies();
+  ASSERT_EQ(replies.size(), 1u);
+  EXPECT_FALSE(replies[0].second->status.ok());
+  EXPECT_EQ(replies[0].second->tuples, nullptr);
+}
+
+TEST_F(StageConsumerTest, ReplyIsResentOnItsTimer) {
+  const sim::SimTime resend = sim::kNanosPerMilli;
+  SpawnConsumer(ScanMergeSink(1), resend);
+  Send(0, 0, 1, true, {Ints({1, 2})});
+  auto replies = Replies();
+  // The first send plus the orphan budget of retransmissions, each
+  // carrying the same answer. The timer is armed when the final batch's
+  // handler starts, the first send leaves once its merge CPU is charged,
+  // so only the first gap is shorter than the period.
+  ASSERT_EQ(replies.size(), 1u + kOrphanResendBudget);
+  EXPECT_GT(replies[1].first - replies[0].first, resend / 2);
+  EXPECT_LE(replies[1].first - replies[0].first, resend);
+  for (size_t i = 1; i < replies.size(); ++i) {
+    if (i > 1) EXPECT_EQ(replies[i].first - replies[i - 1].first, resend);
+    EXPECT_EQ(replies[i].second, replies[0].second);
+  }
+  ASSERT_NE(replies[0].second->tuples, nullptr);
+  EXPECT_EQ(*replies[0].second->tuples, (std::vector<Tuple>{Ints({1, 2})}));
 }
 
 }  // namespace

@@ -41,6 +41,28 @@ TEST(LexerTest, Errors) {
   EXPECT_FALSE(Tokenize("a @ b").ok());
 }
 
+TEST(LexerTest, DoubleLiteralOutOfRangeIsAnError) {
+  const std::string literal = "1" + std::string(400, '0') + ".0";
+  auto tokens = Tokenize("SELECT " + literal + " AS k FROM t");
+  ASSERT_FALSE(tokens.ok());
+  EXPECT_EQ(tokens.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tokens.status().message().find(literal), std::string::npos)
+      << tokens.status().ToString();
+}
+
+TEST(LexerTest, IntLiteralOutOfRangeIsAnError) {
+  auto tokens = Tokenize("SELECT 99999999999999999999 FROM t");
+  ASSERT_FALSE(tokens.ok());
+  EXPECT_EQ(tokens.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(tokens.status().message().find("99999999999999999999"),
+            std::string::npos)
+      << tokens.status().ToString();
+  // The largest int64 still lexes.
+  auto max = Tokenize("9223372036854775807");
+  ASSERT_TRUE(max.ok());
+  EXPECT_EQ((*max)[0].int_value, INT64_MAX);
+}
+
 // ----------------------------------------------------------------- Parser
 
 TEST(ParserTest, SelectFull) {

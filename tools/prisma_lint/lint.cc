@@ -93,7 +93,7 @@ void CheckNondeterminism(const PreparedFile& file,
 const char* const kObservableSurfaces[] = {
     "pool/runtime.h", "net/network.h",  "net/traffic.h",
     "obs/metrics.h",  "obs/trace.h",    "gdh/messages.h",
-    "exec/exchange.h", "gdh/exchange_process.h",
+    "exec/exchange.h", "gdh/stage_consumer.h",
     "exec/fixpoint.h", "gdh/fixpoint_process.h",
     // The columnar batch and its wire encoding (DESIGN.md §12): frame
     // bytes are message payloads, so the order anything is appended to a
